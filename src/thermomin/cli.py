@@ -100,7 +100,6 @@ def run_time_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
             p = dynamics.ModelParams(n=n, r=r)
             times, states = _states_on_grid(p, cfg.t_max, cfg.t_steps, integrator)
             for t, rho in zip(times, states):
-                rho = qstate.validate_state(rho)
                 rows.append(
                     (n, r, t, measures.concurrence(rho), measures.hs_min(rho), measures.trace_min(rho))
                 )
@@ -121,7 +120,6 @@ def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
     times, states = _states_on_grid(p, cfg.t_max, cfg.t_steps, integrator)
     projective = []
     for t, rho in zip(times, states):
-        rho = qstate.validate_state(rho)
         projective.append((t, measures.hs_min(rho), measures.trace_min(rho)))
     rows = []
     for x in sorted(cfg.x_values):
@@ -460,25 +458,21 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _merged(args, key: str, fallback: str) -> str:
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if args.config:
-        file_values = _load_config_file(args.config)
-        if key in file_values:
-            return file_values[key]
-    return fallback
+def _option_values(args) -> dict:
+    """Command line flags over the --config file's values, keyed by flag name."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((key.replace("_", "-"), v) for key, v in vars(args).items() if v is not None)
+    return values
 
 
-def _sweep_config(args, default_n: str, default_r: str) -> SweepConfig:
+def _sweep_config(values: dict, default_n: str, default_r: str) -> SweepConfig:
     return SweepConfig(
-        n_values=_parse_floats(_merged(args, "n", default_n)),
-        r_values=_parse_floats(_merged(args, "r", default_r)),
-        x_values=_parse_floats(_merged(args, "x", "0.1,1,3,30")),
-        t_max=float(_merged(args, "t-max", "5")),
-        t_steps=int(_merged(args, "steps", "200")),
-        output_path=_merged(args, "out", ""),
+        n_values=_parse_floats(values.get("n", default_n)),
+        r_values=_parse_floats(values.get("r", default_r)),
+        x_values=_parse_floats(values.get("x", "0.1,1,3,30")),
+        t_max=float(values.get("t-max", "5")),
+        t_steps=int(values.get("steps", "200")),
+        output_path=values.get("out", ""),
     )
 
 
@@ -521,19 +515,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep-time":
-            cfg = _sweep_config(args, args.default_n, args.default_r)
-            count = run_time_sweep(cfg, integrator=_merged(args, "integrator", "analytic"))
-            print(f"wrote {count} rows to {cfg.output_path}")
-            return 0
-        if args.command == "sweep-strength":
-            cfg = _sweep_config(args, args.default_n, args.default_r)
-            count = run_strength_sweep(cfg, integrator=_merged(args, "integrator", "analytic"))
+        values = _option_values(args)
+        if args.command in ("sweep-time", "sweep-strength"):
+            run = run_time_sweep if args.command == "sweep-time" else run_strength_sweep
+            cfg = _sweep_config(values, args.default_n, args.default_r)
+            count = run(cfg, integrator=values.get("integrator", "analytic"))
             print(f"wrote {count} rows to {cfg.output_path}")
             return 0
         report, status = run_validation(
-            sample_count=int(_merged(args, "samples", "20")),
-            seed=int(_merged(args, "seed", "7")),
+            sample_count=int(values.get("samples", "20")),
+            seed=int(values.get("seed", "7")),
         )
         print(report, end="")
         return status

@@ -9,7 +9,7 @@ units gamma*t; the decay rate gamma enters only the raw generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import exp, expm1, sqrt
 
 import numpy as np
 
@@ -82,16 +82,22 @@ def initial_state(p: ModelParams) -> np.ndarray:
 
 
 def _analytic_elements(p: ModelParams, t: float):
-    """Nonzero elements (rho11, rho22, rho44, rho23) at scaled time t."""
+    """Nonzero elements (rho11, rho22, rho44, rho23) at scaled time t.
+
+    rho11 and rho44 are written as products that contain no cancellation,
+    with u = 1 - e1 from expm1, so rho44(0) is exactly 0 and both stay
+    accurate to relative roundoff where they are small.
+    """
     n, r = p.n, p.r
-    denom = 2.0 * (2.0 * n + 1.0) ** 2
-    b = r * (2.0 * n + 1.0) - 2.0 * (n + 1.0)
+    k = 2.0 * n + 1.0
+    g = k * k
+    b = r * k - 2.0 * (n + 1.0)
     a = r * (n + 1.0) * (4.0 * n + 2.0) - 2.0 * (n + 1.0) ** 2
-    e1 = exp(-(2.0 * n + 1.0) * t)
-    e2 = e1 * e1
-    rho11 = (2.0 * n * n - 2.0 * n * b * e1 - a * e2) / denom
-    rho22 = (2.0 * n * (n + 1.0) - b * e1 + a * e2) / denom
-    rho44 = (2.0 * (n + 1.0) ** 2 + 2.0 * (n + 1.0) * b * e1 - a * e2) / denom
+    e1 = exp(-k * t)
+    u = -expm1(-k * t)
+    rho11 = (n + (n + 1.0) * e1) * (n * u + (1.0 - r) * k * e1) / g
+    rho22 = (2.0 * n * (n + 1.0) - b * e1 + a * e1 * e1) / (2.0 * g)
+    rho44 = (n + 1.0) * u * ((n + 1.0) * u + r * k * e1) / g
     rho23 = 0.5 * r * e1
     return rho11, rho22, rho44, rho23
 

@@ -16,9 +16,11 @@ import numpy as np
 
 from .qstate import (
     SIGMA_Y,
-    bloch_decompose,
+    BlochRep,
+    _bloch,
     hermitian_eigensystem,
     matrix_sqrt_psd,
+    psd_roots,
     validate_state,
 )
 
@@ -99,13 +101,16 @@ def concurrence(rho) -> float:
         roots of the eigenvalues of rho (sy x sy) rho* (sy x sy). Zero for
         separable states, one for maximally entangled states.
     """
-    rho = validate_state(rho)
+    return _concurrence(validate_state(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float:
     root = matrix_sqrt_psd(rho)
     flipped = _SYSY @ rho.conj() @ _SYSY
     # Hermitian route: eigenvalues of sqrt(rho) rho~ sqrt(rho) equal those of rho rho~.
     m = root @ flipped @ root
     evals, _ = hermitian_eigensystem(0.5 * (m + m.conj().T))
-    lam = np.sqrt(np.clip(evals, 0.0, None))
+    lam = psd_roots(evals)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -129,7 +134,10 @@ def hs_min(rho) -> float:
     projection onto the marginal Bloch direction (non-degenerate marginal)
     or the smallest eigenvalue of T T^t (degenerate marginal).
     """
-    b = bloch_decompose(rho)
+    return _hs_min(_bloch(validate_state(rho)))
+
+
+def _hs_min(b: BlochRep) -> float:
     T = b.C / 2.0
     M = T @ T.T
     trace = float(np.trace(M))
@@ -177,7 +185,10 @@ def trace_min(rho) -> float:
     square root, so those configurations use the algebraically identical
     reduced forms instead.
     """
-    b = bloch_decompose(rho)
+    return _trace_min(_bloch(validate_state(rho)))
+
+
+def _trace_min(b: BlochRep) -> float:
     canon = canonicalize_correlations(b)
     c = canon.c
     u = canon.xr**2
@@ -214,8 +225,9 @@ def weak_trace_min(rho, w: WeakStrength) -> float:
 def evaluate_measures(rho, w: WeakStrength) -> MeasureReport:
     """Concurrence plus all four nonlocality values at one (state, strength) point."""
     rho = validate_state(rho)
-    c = concurrence(rho)
-    n2 = hs_min(rho)
-    n1 = trace_min(rho)
+    b = _bloch(rho)
+    c = _concurrence(rho)
+    n2 = _hs_min(b)
+    n1 = _trace_min(b)
     f = weak_factor(w)
     return MeasureReport(C=c, N2=n2, N1=n1, N2W=f * n2, N1W=f * n1)

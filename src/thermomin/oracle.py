@@ -1,10 +1,12 @@
 """Brute-force route to every optimized quantity.
 
-Post-measurement states are constructed explicitly from projector algebra
-and the nonlocality values are maximized over measurement directions by
-definition, with no use of the closed formulas. Matrix spectra here go
-through numpy's LAPACK bindings so that this module shares no eigensolver
-code with the closed-form route it validates.
+Post-measurement states are constructed explicitly from the Kraus
+operators of the measurement on subsystem a, and the nonlocality values
+are maximized over measurement directions by definition, with no use of
+the closed formulas. Both routes take their matrix spectra from the same
+LAPACK solvers; the independence that the cross-check relies on is
+algorithmic: explicit post-measurement states and a direct maximization
+here, closed formulas on the Bloch data in ``measures``.
 
 Measurements that preserve the marginal of subsystem a: when the marginal
 is non-degenerate only its own eigenbasis qualifies and the value is
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import WeakStrength
-from .qstate import ID2, PAULIS, partial_trace, validate_state
+from .qstate import ID2, PAULIS, validate_state
 
 MARGINAL_GAP_EPS = 1e-9
 GRID_RESOLUTION = 100
@@ -64,42 +66,23 @@ def direction_from_vector(m) -> MeasurementDirection:
 
 def projective_post_state(rho, d: MeasurementDirection) -> np.ndarray:
     """Apply the local projective measurement on subsystem a and discard outcomes."""
-    rho = validate_state(rho)
-    p1, p2 = d.projectors()
-    out = np.zeros_like(rho)
-    for p in (p1, p2):
-        lifted = np.kron(p, ID2)
-        out += lifted @ rho @ lifted
-    return out
+    return _post_states(validate_state(rho), d.unit_vector()[None], 0.0, 1.0)[0]
 
 
 def weak_post_state(rho, d: MeasurementDirection, w: WeakStrength) -> np.ndarray:
     """Two-outcome weak measurement on subsystem a: P(+) rho P(+) + P(-) rho P(-)."""
-    rho = validate_state(rho)
-    p1, p2 = d.projectors()
-    plus = np.kron(w.t1 * p1 + w.t2 * p2, ID2)
-    minus = np.kron(w.t2 * p1 + w.t1 * p2, ID2)
-    return plus @ rho @ plus + minus @ rho @ minus
-
-
-def _hs_sq(delta: np.ndarray) -> float:
-    return float(np.vdot(delta, delta).real)
-
-
-def _trace_norm_lapack(delta: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(delta)).sum())
+    return _post_states(validate_state(rho), d.unit_vector()[None], w.t1, w.t2)[0]
 
 
 def _marginal_direction(rho):
-    """(gap, direction) for the marginal of subsystem a; direction is its top eigenvector's Bloch axis."""
-    marg = partial_trace(rho, "a")
+    """(gap, unit Bloch axis of its top eigenvector) for the marginal of subsystem a."""
+    marg = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
     evals, vecs = np.linalg.eigh(marg)
     gap = float(evals[-1] - evals[0])
     top = vecs[:, -1]
     m = np.array([(top.conj() @ s @ top).real for s in PAULIS])
-    if float(np.linalg.norm(m)) == 0.0:
-        return gap, None
-    return gap, direction_from_vector(m)
+    norm = float(np.linalg.norm(m))
+    return gap, (m / norm if norm > 0.0 else None)
 
 
 def _direction_batch(thetas, phis):
@@ -126,20 +109,17 @@ def _projector_batch(ms: np.ndarray):
     return p1, ID2 - p1
 
 
-def _deltas_projective(rho, ms):
-    p1, p2 = _projector_batch(ms)
-    k1 = _lift_batch(p1)
-    k2 = _lift_batch(p2)
-    post = k1 @ rho @ k1 + k2 @ rho @ k2
-    return rho - post
+def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
+    """K+ rho K+ + K- rho K- on subsystem a for each unit direction in ms (shape (k, 3)).
 
-
-def _deltas_weak(rho, ms, w: WeakStrength):
+    The Kraus pair is K+ = t1 P1 + t2 P2 and K- = t2 P1 + t1 P2 with
+    P1, P2 = (1 +- m.sigma)/2; (t1, t2) = (0, 1) is the projective
+    measurement, the weak one takes the amplitudes of its WeakStrength.
+    """
     p1, p2 = _projector_batch(ms)
-    plus = _lift_batch(w.t1 * p1 + w.t2 * p2)
-    minus = _lift_batch(w.t2 * p1 + w.t1 * p2)
-    post = plus @ rho @ plus + minus @ rho @ minus
-    return rho - post
+    plus = _lift_batch(t1 * p1 + t2 * p2)
+    minus = _lift_batch(t2 * p1 + t1 * p2)
+    return plus @ rho @ plus + minus @ rho @ minus
 
 
 def _batch_values(deltas, norm: str) -> np.ndarray:
@@ -150,37 +130,34 @@ def _batch_values(deltas, norm: str) -> np.ndarray:
     raise ValueError("norm must be 'hs' or 'trace'")
 
 
-def _grid_maximize(rho, norm: str, w: WeakStrength | None = None) -> float:
-    deltas = (lambda ms: _deltas_projective(rho, ms)) if w is None else (
-        lambda ms: _deltas_weak(rho, ms, w)
-    )
+def _grid_maximize(values) -> float:
+    """Largest values(ms) over a theta/phi grid plus one refinement pass."""
     g = GRID_RESOLUTION
     thetas = np.linspace(0.0, math.pi, g)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
     tt, pp, ms = _direction_batch(thetas, phis)
-    values = _batch_values(deltas(ms), norm)
-    best = int(np.argmax(values))
-    best_value = float(values[best])
+    coarse = values(ms)
+    best = int(np.argmax(coarse))
     # One refinement pass at 10x resolution around the best cell.
     dt = math.pi / (g - 1)
     dp = 2.0 * math.pi / (2 * g)
     fine_t = np.clip(tt[best] + np.linspace(-dt, dt, 2 * REFINE_FACTOR + 1), 0.0, math.pi)
     fine_p = (pp[best] + np.linspace(-dp, dp, 2 * REFINE_FACTOR + 1)) % (2.0 * math.pi)
     _, _, ms_fine = _direction_batch(fine_t, fine_p)
-    fine_values = _batch_values(deltas(ms_fine), norm)
-    return max(best_value, float(fine_values.max()))
+    return max(float(coarse[best]), float(values(ms_fine).max()))
 
 
 def _brute_force(rho, norm: str, w: WeakStrength | None = None) -> float:
     rho = validate_state(rho)
-    gap, direction = _marginal_direction(rho)
-    if gap > MARGINAL_GAP_EPS and direction is not None:
-        if w is None:
-            delta = rho - projective_post_state(rho, direction)
-        else:
-            delta = rho - weak_post_state(rho, direction, w)
-        return _hs_sq(delta) if norm == "hs" else _trace_norm_lapack(delta)
-    return _grid_maximize(rho, norm, w)
+    t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
+
+    def values(ms):
+        return _batch_values(rho - _post_states(rho, ms, t1, t2), norm)
+
+    gap, m = _marginal_direction(rho)
+    if gap > MARGINAL_GAP_EPS and m is not None:
+        return float(values(m[None])[0])
+    return _grid_maximize(values)
 
 
 def brute_force_hs_min(rho) -> float:

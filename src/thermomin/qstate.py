@@ -10,15 +10,12 @@ the standard unnormalized Pauli operators, x_i = Tr(rho (sigma_i x I)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_SLACK = -1e-10
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -54,6 +51,12 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _require_hermitian(a: np.ndarray, name: str):
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"|{name} - {name}^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}")
+
+
 def validate_state(m) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix.
 
@@ -64,9 +67,7 @@ def validate_state(m) -> np.ndarray:
     rho = _as_matrix(m)
     if rho.shape[0] != 4:
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape[0]}x{rho.shape[0]}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > HERMITICITY_TOL:
-        raise NotHermitian(f"|rho - rho^dag| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    _require_hermitian(rho, "rho")
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
     if trace_dev > TRACE_TOL:
         raise TraceNotOne(f"|Tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
@@ -76,75 +77,32 @@ def validate_state(m) -> np.ndarray:
     return rho
 
 
-def hermitian_eigensystem(m, off_tol: float = JACOBI_OFF_TOL):
-    """Eigenvalues and eigenvectors of a small Hermitian matrix.
+def hermitian_eigensystem(m):
+    """Eigenvalues and eigenvectors of a Hermitian matrix.
 
-    Cyclic Jacobi rotation sweeps; converged when the off-diagonal
-    Frobenius mass drops below ``off_tol`` (at most 100 sweeps, which the
-    fixed 4x4 problem size never needs). Returns ``(evals, vecs)`` with
+    LAPACK's Hermitian solver (``np.linalg.eigh``) after a Hermiticity
+    check, which raises NotHermitian beyond HERMITICITY_TOL; eigh itself
+    reads only the lower triangle. Returns ``(evals, vecs)`` with
     eigenvalues sorted in descending order and the matching orthonormal
     eigenvectors as columns.
     """
     a = _as_matrix(m)
-    herm_dev = float(np.max(np.abs(a - a.conj().T)))
-    if herm_dev > HERMITICITY_TOL:
-        raise NotHermitian(f"|m - m^dag| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    n = a.shape[0]
-    # Scalar lists beat ndarray indexing for matrices this small.
-    A = [[complex(a[i, j]) for j in range(n)] for i in range(n)]
-    Q = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            row = A[i]
-            for j in range(i + 1, n):
-                v = row[j]
-                off += v.real * v.real + v.imag * v.imag
-        if sqrt(2.0 * off) < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p][q]
-                beta = abs(apq)
-                if beta == 0.0:
-                    continue
-                phase = apq / beta
-                tau = (A[q][q].real - A[p][p].real) / (2.0 * beta)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                sph = s * phase
-                sphc = s * phase.conjugate()
-                app = A[p][p].real
-                aqq = A[q][q].real
-                A[p][p] = complex(app - t * beta)
-                A[q][q] = complex(aqq + t * beta)
-                A[p][q] = 0.0 + 0.0j
-                A[q][p] = 0.0 + 0.0j
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp = A[k][p]
-                    akq = A[k][q]
-                    new_p = c * akp - sphc * akq
-                    new_q = sph * akp + c * akq
-                    A[k][p] = new_p
-                    A[k][q] = new_q
-                    A[p][k] = new_p.conjugate()
-                    A[q][k] = new_q.conjugate()
-                for k in range(n):
-                    Qk = Q[k]
-                    qkp = Qk[p]
-                    qkq = Qk[q]
-                    Qk[p] = c * qkp - sphc * qkq
-                    Qk[q] = sph * qkp + c * qkq
-    evals = np.array([A[i][i].real for i in range(n)])
-    vecs = np.array(Q, dtype=complex)
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], vecs[:, order]
+    _require_hermitian(a, "m")
+    evals, vecs = np.linalg.eigh(a)
+    return evals[::-1], vecs[:, ::-1]
+
+
+def psd_roots(evals: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of a positive-semidefinite matrix.
+
+    Roundoff floor: an eigenvalue at or below len(evals) * eps * max|evals|
+    (the cut numpy's ``matrix_rank`` uses) cannot be told apart from zero
+    in double precision and counts as exactly zero. The square root would
+    otherwise turn a roundoff of ~1e-17 into ~3e-9, e.g. in the zero
+    eigenvalues of a rank-deficient state.
+    """
+    floor = len(evals) * np.finfo(float).eps * float(np.max(np.abs(evals)))
+    return np.sqrt(np.where(evals > floor, evals, 0.0))
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
@@ -152,9 +110,7 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     evals, vecs = hermitian_eigensystem(m)
     if evals[-1] < PSD_SLACK:
         raise NotPositive(f"smallest eigenvalue {evals[-1]:.3e} below slack {PSD_SLACK:.0e}")
-    # Slack-level negatives are roundoff, clamp before the square root.
-    roots = np.sqrt(np.clip(evals, 0.0, None))
-    s = (vecs * roots) @ vecs.conj().T
+    s = (vecs * psd_roots(evals)) @ vecs.conj().T
     return 0.5 * (s + s.conj().T)
 
 
@@ -180,7 +136,11 @@ class BlochRep:
 
 def bloch_decompose(rho) -> BlochRep:
     """Pauli expectation values of a valid state: x_i, y_j, c_ij."""
-    rho = validate_state(rho)
+    return _bloch(validate_state(rho))
+
+
+def _bloch(rho: np.ndarray) -> BlochRep:
+    """bloch_decompose without the validation, for callers that already did it."""
     x = np.array([np.einsum("ij,ji->", rho, p).real for p in _PAULI_A])
     y = np.array([np.einsum("ij,ji->", rho, p).real for p in _PAULI_B])
     C = np.array(
@@ -207,11 +167,5 @@ def hs_norm_sq(m) -> float:
 
 
 def trace_norm(m) -> float:
-    """Trace norm (sum of singular values; sum of |eigenvalues| if Hermitian)."""
-    a = _as_matrix(m)
-    if float(np.max(np.abs(a - a.conj().T))) <= HERMITICITY_TOL:
-        evals, _ = hermitian_eigensystem(0.5 * (a + a.conj().T))
-        return float(np.abs(evals).sum())
-    gram = a.conj().T @ a
-    evals, _ = hermitian_eigensystem(0.5 * (gram + gram.conj().T))
-    return float(np.sqrt(np.clip(evals, 0.0, None)).sum())
+    """Trace norm, the sum of singular values."""
+    return float(np.linalg.svd(_as_matrix(m), compute_uv=False).sum())

@@ -157,6 +157,8 @@ class TestValidateCommand:
         assert f"exit status: {status1}" in report1
         has_fail = " -> FAIL" in report1
         assert status1 == (1 if has_fail else 0)
+        assert status1 == 0
+        assert not any(line.endswith("-> FAIL") for line in report1.splitlines())
 
     def test_different_seed_changes_report_not_contract(self):
         report, status = run_validation(sample_count=4, seed=99)

@@ -39,6 +39,15 @@ class TestConcurrence:
         # r = 0.5: coherence r/2 and rho11*rho44 = 0 give concurrence r
         assert concurrence(initial_state(ModelParams(n=1.0, r=0.5))) == pytest.approx(0.5, abs=1e-12)
 
+    def test_initial_state_exact_to_roundoff(self):
+        # At gamma_t = 0 the state has rank 2 and C = r exactly; square roots
+        # of the zero eigenvalues' roundoff once cost half the digits here
+        # (C = 0.646799994732 at n = 0.7756, r = 0.6468).
+        rng = np.random.default_rng(22)
+        pairs = [(0.7756, 0.6468)] + [tuple(rng.uniform(0.0, 1.0, size=2)) for _ in range(200)]
+        worst = max(abs(concurrence(analytic_state_at(ModelParams(n, r), 0.0)) - r) for n, r in pairs)
+        assert worst <= 1e-14
+
     def test_range_on_random_states(self):
         rng = np.random.default_rng(21)
         for _ in range(1000):
