@@ -12,6 +12,7 @@ from .dynamics import (
     StepTooLarge,
     Trajectory,
     analytic_state_at,
+    analytic_states,
     initial_state,
     integrate,
     lindblad_rhs,

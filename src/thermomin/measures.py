@@ -5,6 +5,11 @@ measurement-induced nonlocality (the maximal disturbance achievable with
 local projective measurements that leave the marginal of subsystem a
 unchanged), and their weak-measurement counterparts obtained by scaling
 with the strength factor (1 - t1*t2).
+
+Every measure takes one 4x4 state, for which it returns a float, or a
+(..., 4, 4) stack, for which it returns an array of the leading shape.
+A single state is a stack of one: both go through the same vectorized
+code, so stack[i] gives bitwise the same value as the stack does at i.
 """
 
 from __future__ import annotations
@@ -14,15 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import (
-    SIGMA_Y,
-    BlochRep,
-    _bloch,
-    hermitian_eigensystem,
-    matrix_sqrt_psd,
-    psd_roots,
-    validate_state,
-)
+from .qstate import SIGMA_Y, BlochRep, _bloch, hermitian_eigensystem, matrix_sqrt_psd, validate_state
 
 # Below this Bloch-vector norm the marginal of subsystem a counts as
 # degenerate and the measurement direction becomes a free optimization
@@ -65,7 +62,10 @@ class WeakStrength:
 
 @dataclass(frozen=True, eq=False)
 class TraceMinCanonicalForm:
-    """Correlation singular values and rotated Bloch vector feeding the trace-norm formula."""
+    """Correlation singular values and rotated Bloch vector feeding the trace-norm formula.
+
+    For stacked Bloch data every field carries the stack's leading axes.
+    """
 
     c: np.ndarray
     xr: np.ndarray
@@ -77,41 +77,51 @@ class TraceMinCanonicalForm:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """All five correlation values at one evaluation point."""
+    """All five correlation values at one evaluation point, or arrays over a stack."""
 
-    C: float
-    N2: float
-    N1: float
-    N2W: float
-    N1W: float
+    C: float | np.ndarray
+    N2: float | np.ndarray
+    N1: float | np.ndarray
+    N2W: float | np.ndarray
+    N1W: float | np.ndarray
 
 
-def concurrence(rho) -> float:
+def _out(values: np.ndarray):
+    """A Python float for a single state, the array itself for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _sum3(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of length 3, in a fixed order for every batch size."""
+    return (a[..., 0] + a[..., 1]) + a[..., 2]
+
+
+def concurrence(rho):
     """Concurrence of a two-qubit state.
 
     Parameters
     ----------
     rho : array_like
-        4x4 density matrix.
+        4x4 density matrix or (..., 4, 4) stack of them.
 
     Returns
     -------
-    float
+    float or ndarray
         max{0, l1 - l2 - l3 - l4} where l_i are the descending square
         roots of the eigenvalues of rho (sy x sy) rho* (sy x sy). Zero for
         separable states, one for maximally entangled states.
     """
-    return _concurrence(validate_state(rho))
+    return _out(_concurrence(validate_state(rho)))
 
 
-def _concurrence(rho: np.ndarray) -> float:
+def _concurrence(rho: np.ndarray) -> np.ndarray:
+    # With R = sqrt(rho), R rho~ R = A A^dag for A = R (sy x sy) conj(R), so
+    # the l_i are the singular values of A. Taking them directly keeps full
+    # relative accuracy near pure states, where an eigensolve of A A^dag
+    # followed by square roots loses half the digits of the small ones.
     root = matrix_sqrt_psd(rho)
-    flipped = _SYSY @ rho.conj() @ _SYSY
-    # Hermitian route: eigenvalues of sqrt(rho) rho~ sqrt(rho) equal those of rho rho~.
-    m = root @ flipped @ root
-    evals, _ = hermitian_eigensystem(0.5 * (m + m.conj().T))
-    lam = psd_roots(evals)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False)
+    return np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
 
 
 def concurrence_xstate(rho) -> float:
@@ -127,26 +137,29 @@ def concurrence_xstate(rho) -> float:
     return 2.0 * max(0.0, abs(rho[1, 2]) - geo)
 
 
-def hs_min(rho) -> float:
+def hs_min(rho):
     """Hilbert-Schmidt measurement-induced nonlocality.
 
     Closed form on the Bloch data with T = C/2: Tr(T T^t) minus either the
     projection onto the marginal Bloch direction (non-degenerate marginal)
     or the smallest eigenvalue of T T^t (degenerate marginal).
     """
-    return _hs_min(_bloch(validate_state(rho)))
+    return _out(_hs_min(_bloch(validate_state(rho))))
 
 
-def _hs_min(b: BlochRep) -> float:
+def _hs_min(b: BlochRep) -> np.ndarray:
     T = b.C / 2.0
-    M = T @ T.T
-    trace = float(np.trace(M))
-    norm_x = float(np.linalg.norm(b.x))
-    if norm_x < MARGINAL_EPS:
-        evals, _ = hermitian_eigensystem(M.astype(complex))
-        return max(0.0, trace - float(evals[-1]))
-    xh = b.x / norm_x
-    return max(0.0, trace - float(xh @ M @ xh))
+    M = T @ T.swapaxes(-1, -2)
+    trace = (M[..., 0, 0] + M[..., 1, 1]) + M[..., 2, 2]
+    norm_x = np.sqrt(_sum3(b.x * b.x))
+    degenerate = norm_x < MARGINAL_EPS
+    xh = b.x / np.where(degenerate, 1.0, norm_x)[..., None]
+    proj = _sum3(xh * _sum3(M * xh[..., None, :]))
+    if degenerate.any():
+        evals, _ = hermitian_eigensystem(M[degenerate].astype(complex))
+        proj = np.array(proj)  # writable, also for a single state
+        proj[degenerate] = evals[..., -1]
+    return np.maximum(trace - proj, 0.0)
 
 
 def canonicalize_correlations(b) -> TraceMinCanonicalForm:
@@ -155,26 +168,30 @@ def canonicalize_correlations(b) -> TraceMinCanonicalForm:
     C = Oa diag(c) Ob^t by singular value decomposition; the Bloch vector
     of subsystem a transforms as xr = Oa^t x. The trace-norm nonlocality is
     invariant under this local rotation, so the closed formula may always
-    be evaluated on (c, xr).
+    be evaluated on (c, xr). b may hold a stack of Bloch data.
     """
     Oa, c, _ = np.linalg.svd(b.C)
-    xr = Oa.T @ b.x
-    norm_x = float(np.linalg.norm(xr))
-    alpha = float((c @ c) * norm_x**2 - np.sum(c**2 * xr**2))
-    beta_tilde = float(
-        xr[0] ** 2 * c[1] ** 2 * c[2] ** 2
-        + xr[1] ** 2 * c[2] ** 2 * c[0] ** 2
-        + xr[2] ** 2 * c[0] ** 2 * c[1] ** 2
+    xr = _sum3(Oa.swapaxes(-1, -2) * b.x[..., None, :])
+    norm_sq = _sum3(xr * xr)
+    c2, u = c**2, xr**2
+    alpha = _sum3(c2) * norm_sq - _sum3(c2 * u)
+    beta_tilde = (
+        u[..., 0] * c2[..., 1] * c2[..., 2]
+        + u[..., 1] * c2[..., 2] * c2[..., 0]
+        + u[..., 2] * c2[..., 0] * c2[..., 1]
     )
-    spread = 2.0 * math.sqrt(max(beta_tilde, 0.0)) * norm_x
-    chi_plus = max(alpha + spread, 0.0)
-    chi_minus = max(alpha - spread, 0.0)
+    spread = 2.0 * np.sqrt(np.maximum(beta_tilde, 0.0)) * np.sqrt(norm_sq)
     return TraceMinCanonicalForm(
-        c=c, xr=xr, alpha=alpha, beta_tilde=beta_tilde, chi_plus=chi_plus, chi_minus=chi_minus
+        c=c,
+        xr=xr,
+        alpha=_out(alpha),
+        beta_tilde=_out(beta_tilde),
+        chi_plus=_out(np.maximum(alpha + spread, 0.0)),
+        chi_minus=_out(np.maximum(alpha - spread, 0.0)),
     )
 
 
-def trace_min(rho) -> float:
+def trace_min(rho):
     """Trace-norm measurement-induced nonlocality.
 
     Canonicalizes the correlation matrix first, then evaluates the closed
@@ -183,28 +200,35 @@ def trace_min(rho) -> float:
     lies on a canonical axis or plane, chi- vanishes or factors exactly
     and the generic difference formula loses half its digits through the
     square root, so those configurations use the algebraically identical
-    reduced forms instead.
+    reduced forms instead. Over a stack each branch is a mask.
     """
-    return _trace_min(_bloch(validate_state(rho)))
+    return _out(_trace_min(_bloch(validate_state(rho))))
 
 
-def _trace_min(b: BlochRep) -> float:
+# For the component k of the rotated Bloch vector that vanishes in the
+# plane case, the other two indices i < j.
+_PLANE_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _trace_min(b: BlochRep) -> np.ndarray:
     canon = canonicalize_correlations(b)
     c = canon.c
     u = canon.xr**2
-    usum = float(u.sum())
-    if math.sqrt(usum) < MARGINAL_EPS:
-        return float(c[0])
-    big = u > 1e-14 * usum
-    if int(big.sum()) == 1:
-        axis = int(np.argmax(u))
-        return float(max(c[i] for i in range(3) if i != axis))
-    if int(big.sum()) == 2:
-        k = int(np.argmin(u))
-        i, j = (m for m in range(3) if m != k)
-        s = c[i] ** 2 * u[j] + c[j] ** 2 * u[i]
-        return float(max(c[k], math.sqrt(s / usum)))
-    return (math.sqrt(canon.chi_plus) + math.sqrt(canon.chi_minus)) / (2.0 * math.sqrt(usum))
+    usum = _sum3(u)
+    degenerate = np.sqrt(usum) < MARGINAL_EPS
+    usafe = np.where(degenerate, 1.0, usum)
+    big = (u > 1e-14 * usum[..., None]).sum(axis=-1)
+    # Axis: the largest of the two c's off the axis; c is sorted descending.
+    on_axis = np.where(np.argmax(u, axis=-1) == 0, c[..., 1], c[..., 0])
+    # Plane: u[k] is negligible and the formula reduces to the (i, j) terms.
+    k = np.argmin(u, axis=-1)[..., None]
+    ij = _PLANE_OTHERS[k[..., 0]]
+    cij = np.take_along_axis(c, ij, axis=-1)
+    uij = np.take_along_axis(u, ij, axis=-1)
+    s = cij[..., 0] ** 2 * uij[..., 1] + cij[..., 1] ** 2 * uij[..., 0]
+    in_plane = np.maximum(np.take_along_axis(c, k, axis=-1)[..., 0], np.sqrt(s / usafe))
+    generic = (np.sqrt(canon.chi_plus) + np.sqrt(canon.chi_minus)) / (2.0 * np.sqrt(usafe))
+    return np.select([degenerate, big == 1, big == 2], [c[..., 0], on_axis, in_plane], generic)
 
 
 def weak_factor(w: WeakStrength) -> float:
@@ -212,22 +236,27 @@ def weak_factor(w: WeakStrength) -> float:
     return 1.0 - w.t1 * w.t2
 
 
-def weak_hs_min(rho, w: WeakStrength) -> float:
+def weak_hs_min(rho, w: WeakStrength):
     """Weak-measurement Hilbert-Schmidt nonlocality, (1 - t1*t2) * hs_min."""
     return weak_factor(w) * hs_min(rho)
 
 
-def weak_trace_min(rho, w: WeakStrength) -> float:
+def weak_trace_min(rho, w: WeakStrength):
     """Weak-measurement trace-norm nonlocality, (1 - t1*t2) * trace_min."""
     return weak_factor(w) * trace_min(rho)
 
 
 def evaluate_measures(rho, w: WeakStrength) -> MeasureReport:
-    """Concurrence plus all four nonlocality values at one (state, strength) point."""
+    """Concurrence plus all four nonlocality values at one (state, strength) point.
+
+    rho may be a (..., 4, 4) stack, e.g. a whole trajectory; it is validated
+    once and its Bloch data are shared between N2 and N1.
+    """
     rho = validate_state(rho)
     b = _bloch(rho)
-    c = _concurrence(rho)
     n2 = _hs_min(b)
     n1 = _trace_min(b)
     f = weak_factor(w)
-    return MeasureReport(C=c, N2=n2, N1=n1, N2W=f * n2, N1W=f * n1)
+    return MeasureReport(
+        C=_out(_concurrence(rho)), N2=_out(n2), N1=_out(n1), N2W=_out(f * n2), N1W=_out(f * n1)
+    )

@@ -75,14 +75,19 @@ def weak_post_state(rho, d: MeasurementDirection, w: WeakStrength) -> np.ndarray
 
 
 def _marginal_direction(rho):
-    """(gap, unit Bloch axis of its top eigenvector) for the marginal of subsystem a."""
+    """Unit Bloch axis of the top eigenvector of subsystem a's marginal.
+
+    None when the marginal is degenerate (eigenvalue gap at most
+    MARGINAL_GAP_EPS): then every direction preserves it and the value
+    needs the grid search.
+    """
     marg = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
     evals, vecs = np.linalg.eigh(marg)
-    gap = float(evals[-1] - evals[0])
+    if not evals[-1] - evals[0] > MARGINAL_GAP_EPS:
+        return None
     top = vecs[:, -1]
     m = np.array([(top.conj() @ s @ top).real for s in PAULIS])
-    norm = float(np.linalg.norm(m))
-    return gap, (m / norm if norm > 0.0 else None)
+    return m / np.linalg.norm(m)
 
 
 def _direction_batch(thetas, phis):
@@ -154,8 +159,8 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None) -> float:
     def values(ms):
         return _batch_values(rho - _post_states(rho, ms, t1, t2), norm)
 
-    gap, m = _marginal_direction(rho)
-    if gap > MARGINAL_GAP_EPS and m is not None:
+    m = _marginal_direction(rho)
+    if m is not None:
         return float(values(m[None])[0])
     return _grid_maximize(values)
 

@@ -24,10 +24,20 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# Pauli tensor basis, precomputed once for Bloch conversions.
-_PAULI_A = [np.kron(s, ID2) for s in PAULIS]
-_PAULI_B = [np.kron(ID2, s) for s in PAULIS]
-_PAULI_AB = [[np.kron(si, sj) for sj in PAULIS] for si in PAULIS]
+# Pauli tensor basis for Bloch conversions, in the order of the Bloch
+# components: sigma_i x I (x), I x sigma_i (y), sigma_i x sigma_j (C, row
+# by row).
+_PAULI_BASIS = np.array(
+    [np.kron(s, ID2) for s in PAULIS]
+    + [np.kron(ID2, s) for s in PAULIS]
+    + [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
+)
+# Each operator P has exactly one nonzero entry P[j, i] in each column i,
+# so Tr(rho P) is the sum over i of rho[i, j(i)] * P[j(i), i]. _bloch adds
+# these four terms in the order i = 0..3 with elementwise operations, so
+# every state of a stack gets bitwise the value it gets alone.
+_BLOCH_COLS = np.argmax(_PAULI_BASIS != 0, axis=1)
+_BLOCH_PHASES = np.take_along_axis(_PAULI_BASIS, _BLOCH_COLS[:, None, :], axis=1)[:, 0, :]
 
 
 class NotHermitian(ValueError):
@@ -42,76 +52,104 @@ class NotPositive(ValueError):
     """Matrix has an eigenvalue below the positive-semidefinite slack."""
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_stack(m) -> np.ndarray:
+    """A square matrix or a (..., k, k) stack of them, as a finite complex array."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must all be finite")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    _raise_first(~finite, ValueError, "matrix entries must all be finite", finite)
     return a
 
 
+def _as_matrix(m) -> np.ndarray:
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _raise_first(bad: np.ndarray, exc: type, message: str, values: np.ndarray):
+    """Raise exc for the first flagged matrix of a stack; message formats its value.
+
+    For a stack the message starts with the matrix's index, e.g. "state 3: ".
+    """
+    if not bad.any():
+        return
+    index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    where = ""
+    if index:
+        where = f"state {index[0] if len(index) == 1 else tuple(int(i) for i in index)}: "
+    raise exc(where + message.format(values[index]))
+
+
 def _require_hermitian(a: np.ndarray, name: str):
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"|{name} - {name}^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    message = f"|{name} - {name}^dag| = {{:.3e}} exceeds {HERMITICITY_TOL:.0e}"
+    _raise_first(dev > HERMITICITY_TOL, NotHermitian, message, dev)
+
+
+def _require_psd(lowest: np.ndarray):
+    """NotPositive unless every smallest eigenvalue is within PSD_SLACK."""
+    message = f"smallest eigenvalue {{:.3e}} below slack {PSD_SLACK:.0e}"
+    _raise_first(lowest < PSD_SLACK, NotPositive, message, lowest)
 
 
 def validate_state(m) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix.
+    """Check Hermiticity, unit trace and positivity of 4x4 density matrices.
 
-    Returns the matrix (as a complex ndarray) when all three invariants
-    hold, otherwise raises NotHermitian / TraceNotOne / NotPositive naming
-    the size of the violation.
+    m is one 4x4 matrix or a (..., 4, 4) stack; the stack is checked in one
+    pass (one batched eigenvalue solve). Returns the input as a complex
+    ndarray when all three invariants hold for every matrix, otherwise
+    raises NotHermitian / TraceNotOne / NotPositive naming the size of the
+    violation and, for a stack, the index of the first offending matrix.
     """
-    rho = _as_matrix(m)
-    if rho.shape[0] != 4:
-        raise ValueError(f"expected a 4x4 matrix, got {rho.shape[0]}x{rho.shape[0]}")
+    rho = _as_stack(m)
+    if rho.shape[-1] != 4:
+        raise ValueError(f"expected 4x4 matrices, got {rho.shape[-1]}x{rho.shape[-1]}")
     _require_hermitian(rho, "rho")
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    if trace_dev > TRACE_TOL:
-        raise TraceNotOne(f"|Tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
-    evals, _ = hermitian_eigensystem(0.5 * (rho + rho.conj().T))
-    if evals[-1] < PSD_SLACK:
-        raise NotPositive(f"smallest eigenvalue {evals[-1]:.3e} below slack {PSD_SLACK:.0e}")
+    trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    message = f"|Tr(rho) - 1| = {{:.3e}} exceeds {TRACE_TOL:.0e}"
+    _raise_first(trace_dev > TRACE_TOL, TraceNotOne, message, trace_dev)
+    _require_psd(np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))[..., 0])
     return rho
 
 
 def hermitian_eigensystem(m):
-    """Eigenvalues and eigenvectors of a Hermitian matrix.
+    """Eigenvalues and eigenvectors of a Hermitian matrix or a (..., k, k) stack.
 
     LAPACK's Hermitian solver (``np.linalg.eigh``) after a Hermiticity
     check, which raises NotHermitian beyond HERMITICITY_TOL; eigh itself
     reads only the lower triangle. Returns ``(evals, vecs)`` with
-    eigenvalues sorted in descending order and the matching orthonormal
-    eigenvectors as columns.
+    eigenvalues sorted in descending order along the last axis and the
+    matching orthonormal eigenvectors as columns.
     """
-    a = _as_matrix(m)
+    a = _as_stack(m)
     _require_hermitian(a, "m")
     evals, vecs = np.linalg.eigh(a)
-    return evals[::-1], vecs[:, ::-1]
+    return evals[..., ::-1], vecs[..., ::-1]
 
 
 def psd_roots(evals: np.ndarray) -> np.ndarray:
-    """Square roots of the eigenvalues of a positive-semidefinite matrix.
+    """Square roots of the eigenvalues of positive-semidefinite matrices.
 
-    Roundoff floor: an eigenvalue at or below len(evals) * eps * max|evals|
-    (the cut numpy's ``matrix_rank`` uses) cannot be told apart from zero
-    in double precision and counts as exactly zero. The square root would
-    otherwise turn a roundoff of ~1e-17 into ~3e-9, e.g. in the zero
-    eigenvalues of a rank-deficient state.
+    evals holds one spectrum along its last axis. Roundoff floor: an
+    eigenvalue at or below len(spectrum) * eps * max|spectrum| (the cut
+    numpy's ``matrix_rank`` uses) cannot be told apart from zero in double
+    precision and counts as exactly zero. The square root would otherwise
+    turn a roundoff of ~1e-17 into ~3e-9, e.g. in the zero eigenvalues of a
+    rank-deficient state.
     """
-    floor = len(evals) * np.finfo(float).eps * float(np.max(np.abs(evals)))
+    floor = evals.shape[-1] * np.finfo(float).eps * np.abs(evals).max(axis=-1, keepdims=True)
     return np.sqrt(np.where(evals > floor, evals, 0.0))
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix."""
+    """Hermitian square root of a positive-semidefinite matrix or a stack of them."""
     evals, vecs = hermitian_eigensystem(m)
-    if evals[-1] < PSD_SLACK:
-        raise NotPositive(f"smallest eigenvalue {evals[-1]:.3e} below slack {PSD_SLACK:.0e}")
-    s = (vecs * psd_roots(evals)) @ vecs.conj().T
-    return 0.5 * (s + s.conj().T)
+    _require_psd(evals[..., -1])
+    s = (vecs * psd_roots(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return 0.5 * (s + s.conj().swapaxes(-1, -2))
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:
@@ -127,7 +165,11 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlochRep:
-    """Bloch vectors of both subsystems and the 3x3 correlation matrix."""
+    """Bloch vectors of both subsystems and the 3x3 correlation matrix.
+
+    For a stack of states the fields carry its leading axes: x and y are
+    (..., 3), C is (..., 3, 3).
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -135,29 +177,21 @@ class BlochRep:
 
 
 def bloch_decompose(rho) -> BlochRep:
-    """Pauli expectation values of a valid state: x_i, y_j, c_ij."""
+    """Pauli expectation values x_i, y_j, c_ij of a valid state or a (..., 4, 4) stack."""
     return _bloch(validate_state(rho))
 
 
 def _bloch(rho: np.ndarray) -> BlochRep:
     """bloch_decompose without the validation, for callers that already did it."""
-    x = np.array([np.einsum("ij,ji->", rho, p).real for p in _PAULI_A])
-    y = np.array([np.einsum("ij,ji->", rho, p).real for p in _PAULI_B])
-    C = np.array(
-        [[np.einsum("ij,ji->", rho, _PAULI_AB[i][j]).real for j in range(3)] for i in range(3)]
-    )
-    return BlochRep(x=x, y=y, C=C)
+    t = rho[..., np.arange(4), _BLOCH_COLS] * _BLOCH_PHASES
+    v = (((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]).real
+    return BlochRep(x=v[..., 0:3], y=v[..., 3:6], C=v[..., 6:15].reshape(v.shape[:-1] + (3, 3)))
 
 
 def bloch_compose(b: BlochRep) -> np.ndarray:
     """Rebuild a density matrix from Bloch data; raises NotPositive for non-states."""
-    rho = ID4.copy()
-    for i in range(3):
-        rho += b.x[i] * _PAULI_A[i]
-        rho += b.y[i] * _PAULI_B[i]
-        for j in range(3):
-            rho += b.C[i, j] * _PAULI_AB[i][j]
-    return validate_state(rho / 4.0)
+    v = np.concatenate([b.x, b.y, np.ravel(b.C)])
+    return validate_state((ID4 + np.tensordot(v, _PAULI_BASIS, axes=1)) / 4.0)
 
 
 def hs_norm_sq(m) -> float:

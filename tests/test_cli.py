@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from thermomin.cli import (
     run_time_sweep,
     run_validation,
 )
+
+# The package's source directory; pytest's pythonpath setting does not reach a subprocess.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def read_csv(path):
@@ -235,6 +240,7 @@ class TestMainEntry:
             ],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
         )
         assert result.returncode == 0, result.stderr
         header, rows = read_csv(out)

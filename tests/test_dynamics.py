@@ -6,6 +6,7 @@ from thermomin import (
     NoBracket,
     StepTooLarge,
     analytic_state_at,
+    analytic_states,
     concurrence,
     hs_min,
     initial_state,
@@ -86,6 +87,17 @@ class TestAnalyticState:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             analytic_state_at(ModelParams(n=1.0, r=1.0), -0.5)
+        with pytest.raises(ValueError):
+            analytic_states(ModelParams(n=1.0, r=1.0), [0.0, 1.0, np.nan])
+
+    def test_stack_of_times(self):
+        p = ModelParams(n=0.3, r=0.7)
+        times = np.linspace(0.0, 3.0, 13)
+        stack = analytic_states(p, times)
+        assert stack.shape == (13, 4, 4)
+        validate_state(stack)
+        for t, rho in zip(times, stack):
+            assert np.array_equal(rho, analytic_state_at(p, t))
 
 
 class TestLindbladRhs:
@@ -166,6 +178,12 @@ class TestIntegrate:
     def test_giant_step_fails_loudly(self):
         with pytest.raises(StepTooLarge):
             integrate(ModelParams(n=1.0, r=1.0), 5.0, steps=1)
+
+    def test_first_failing_step_is_named(self):
+        # Steps 1-6 pass the positivity check; the states computed after
+        # step 7 in the same checked block must not hide it.
+        with pytest.raises(StepTooLarge, match=r"gamma\*t = 2\.310000 has eigenvalue -1\.417e-02"):
+            integrate(ModelParams(n=2.0, r=0.5), 660.0, steps=2000)
 
 
 class TestSuddenDeath:

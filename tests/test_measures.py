@@ -48,6 +48,21 @@ class TestConcurrence:
         worst = max(abs(concurrence(analytic_state_at(ModelParams(n, r), 0.0)) - r) for n, r in pairs)
         assert worst <= 1e-14
 
+    def test_near_pure_states_match_xstate_shortcut(self):
+        # r = 1 - 10^-u and gamma_t = 10^-v, u, v in [1, 8]: nearly pure states,
+        # where square roots of the eigenvalues of the Gram matrix lose half
+        # the digits of the small l_i (errors up to ~5e-8 against the shortcut).
+        rng = np.random.default_rng(41)
+        cases = [(0.205, 1.0 - 1.1e-8, 3.9e-8)]
+        for _ in range(300):
+            u, v = rng.uniform(1.0, 8.0, size=2)
+            cases.append((float(rng.uniform(0.0, 1.0)), 1.0 - 10.0**-u, 10.0**-v))
+        worst = 0.0
+        for n, r, t in cases:
+            rho = analytic_state_at(ModelParams(n, r), t)
+            worst = max(worst, abs(concurrence(rho) - concurrence_xstate(rho)))
+        assert worst <= 1e-10
+
     def test_range_on_random_states(self):
         rng = np.random.default_rng(21)
         for _ in range(1000):
