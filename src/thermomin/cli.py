@@ -118,6 +118,8 @@ def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
         raise InvalidConfig("sweep-strength needs exactly one n and one r value")
     p = dynamics.ModelParams(n=cfg.n_values[0], r=cfg.r_values[0])
     times, states = _states_on_grid(p, cfg.t_max, cfg.t_steps, integrator)
+    # Two calls validate the trajectory twice, which costs less than the
+    # concurrence that evaluate_measures would compute and this sweep drops.
     n2s, n1s = measures.hs_min(states), measures.trace_min(states)
     projective = list(zip(times.tolist(), n2s.tolist(), n1s.tolist()))
     rows = []

@@ -20,9 +20,6 @@ DEFAULT_STEPS_PER_UNIT_TIME = 100
 INTEGRATOR_ORDER = 5
 SUDDEN_DEATH_HORIZON = 50.0
 SUDDEN_DEATH_XTOL = 1e-9
-# Integrator steps per batched positivity check: enough to spread the solve's
-# call overhead, few enough that a failing run stops soon after its bad step.
-INTEGRATOR_CHECK_BLOCK = 256
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -84,30 +81,19 @@ def initial_state(p: ModelParams) -> np.ndarray:
     return validate_state(rho)
 
 
-def _analytic_elements(p: ModelParams, t):
-    """Nonzero elements (rho11, rho22, rho44, rho23) at scaled times t.
+def _analytic_elements(p: ModelParams, t: float):
+    """Nonzero elements (rho11, rho22, rho44, rho23) at scaled time t.
 
-    t is a float, for which the elements are floats (the sudden-death
-    search calls this thousands of times), or a 1-d float ndarray of
-    times, for which they are arrays. rho11 and rho44 are written as products that
-    contain no cancellation, with u = 1 - e1 from expm1, so rho44(0) is
-    exactly 0 and both stay accurate to relative roundoff where they are
-    small. The exponentials are taken one time at a time with math.exp and
-    math.expm1: numpy's vectorized exp differs from them by one unit in the
-    last place on a few percent of arguments, which moves a printed sweep
-    digit now and then (3 of 180,000 rows on 100 seeded 3x3x200 grids).
+    rho11 and rho44 are written as products that contain no cancellation,
+    with u = 1 - e1 from expm1, so rho44(0) is exactly 0 and both stay
+    accurate to relative roundoff where they are small.
     """
     n, r = p.n, p.r
     k = 2.0 * n + 1.0
     g = k * k
     b = r * k - 2.0 * (n + 1.0)
     a = r * (n + 1.0) * (4.0 * n + 2.0) - 2.0 * (n + 1.0) ** 2
-    if isinstance(t, np.ndarray):
-        kt = [-k * s for s in t.tolist()]
-        e1 = np.array([exp(x) for x in kt])
-        u = -np.array([expm1(x) for x in kt])
-    else:
-        e1, u = exp(-k * t), -expm1(-k * t)
+    e1, u = exp(-k * t), -expm1(-k * t)
     rho11 = (n + (n + 1.0) * e1) * (n * u + (1.0 - r) * k * e1) / g
     rho22 = (2.0 * n * (n + 1.0) - b * e1 + a * e1 * e1) / (2.0 * g)
     rho44 = (n + 1.0) * u * ((n + 1.0) * u + r * k * e1) / g
@@ -124,6 +110,11 @@ def analytic_states(p: ModelParams, times) -> np.ndarray:
     coherence decays as rho23(t) = (r/2) exp(-(2n+1) t). Every element is
     a valid state by construction, so the stack is not validated here: the
     measures validate what they are given, once per call.
+
+    The elements are taken one time at a time with math.exp and math.expm1:
+    numpy's vectorized exp differs from them by one unit in the last place
+    on a few percent of arguments, which moves a printed sweep digit now and
+    then (3 of 180,000 rows on 100 seeded 3x3x200 grids).
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
@@ -131,12 +122,12 @@ def analytic_states(p: ModelParams, times) -> np.ndarray:
     bad = ~(t >= 0.0)
     if bad.any():
         raise ValueError(f"scaled time must be >= 0, got {t[bad][0]}")
-    rho11, rho22, rho44, rho23 = _analytic_elements(p, t)
+    elements = np.array([_analytic_elements(p, s) for s in t.tolist()]).reshape(-1, 4)
     rho = np.zeros((len(t), 4, 4), dtype=complex)
-    rho[:, 0, 0] = rho11
-    rho[:, 1, 1] = rho[:, 2, 2] = rho22
-    rho[:, 3, 3] = rho44
-    rho[:, 1, 2] = rho[:, 2, 1] = rho23
+    rho[:, 0, 0] = elements[:, 0]
+    rho[:, 1, 1] = rho[:, 2, 2] = elements[:, 1]
+    rho[:, 3, 3] = elements[:, 2]
+    rho[:, 1, 2] = rho[:, 2, 1] = elements[:, 3]
     return rho
 
 
@@ -201,7 +192,7 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     trace renormalized, and checked against the integrator positivity
     slack: a state with an eigenvalue below -1e-8, or with an entry that is
     not finite, raises StepTooLarge naming the first such step. The check
-    runs as one batched eigenvalue solve per INTEGRATOR_CHECK_BLOCK steps.
+    runs as one batched eigenvalue solve over the whole trajectory.
     """
     if not (t_max > 0.0):
         raise ValueError(f"t_max must be > 0, got {t_max}")
@@ -215,25 +206,25 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     times = np.linspace(0.0, t_max, steps + 1)
     states = np.empty((steps + 1, 4, 4), dtype=complex)
     states[0] = initial_state(p)
-    checked = 1
-    # A step far too large can overflow before its block is checked; the
-    # check below reports it as StepTooLarge, not as a floating-point warning.
+    # A step far too large can overflow before the check; the check below
+    # reports it as StepTooLarge, not as a floating-point warning.
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
             rho = (step @ states[k - 1].reshape(-1)).reshape(4, 4)
             rho = 0.5 * (rho + rho.conj().T)
             states[k] = rho / np.trace(rho).real
-            if k - checked + 1 == INTEGRATOR_CHECK_BLOCK or k == steps:
-                _check_steps(states[checked : k + 1], times[checked : k + 1])
-                checked = k + 1
+    _check_steps(states[1:], times[1:])
     return Trajectory(times=times, states=states)
 
 
-def _check_steps(block: np.ndarray, times: np.ndarray):
-    """StepTooLarge at the first state of block outside the integrator slack."""
-    finite = np.isfinite(block).all(axis=(1, 2))
-    lowest = np.full(len(block), np.nan)
-    lowest[finite] = np.linalg.eigvalsh(block[finite])[:, 0]
+def _check_steps(states: np.ndarray, times: np.ndarray):
+    """StepTooLarge at the first of states outside the integrator slack."""
+    # The states before the first non-finite one are solved in place, as a
+    # view: a masked copy would double the trajectory's memory.
+    finite = np.isfinite(states).all(axis=(1, 2))
+    ok = len(states) if finite.all() else int(np.argmin(finite))
+    lowest = np.full(len(states), np.nan)
+    lowest[:ok] = np.linalg.eigvalsh(states[:ok])[:, 0]
     bad = ~(lowest >= INTEGRATOR_PSD_SLACK)
     if bad.any():
         k = int(np.argmax(bad))
