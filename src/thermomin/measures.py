@@ -21,9 +21,9 @@ import numpy as np
 
 from .qstate import SIGMA_Y, BlochRep, _bloch, hermitian_eigensystem, matrix_sqrt_psd, validate_state
 
-# Below this Bloch-vector norm the marginal of subsystem a counts as
-# degenerate and the measurement direction becomes a free optimization
-# variable (the x = 0 branch of the closed formulas).
+# Below this Bloch-vector norm |x| (the eigenvalue gap) subsystem a's marginal
+# counts as degenerate and the measurement direction becomes a free variable:
+# the x = 0 branch of the closed formulas and the grid search of ``oracle``.
 MARGINAL_EPS = 1e-9
 
 X_STRUCTURE_TOL = 1e-12

@@ -1,17 +1,21 @@
 """Brute-force route to every optimized quantity.
 
-Post-measurement states are constructed explicitly from the Kraus
-operators of the measurement on subsystem a, and the nonlocality values
-are maximized over measurement directions by definition, with no use of
-the closed formulas. Both routes take their matrix spectra from the same
-LAPACK solvers; the independence that the cross-check relies on is
-algorithmic: explicit post-measurement states and a direct maximization
-here, closed formulas on the Bloch data in ``measures``.
+Post-measurement states are the Kraus map K+ rho K+ + K- rho K- on
+subsystem a, summed as 2 a^2 rho + 2 b^2 S rho S with S = (m.sigma) x I:
+the same operator sum with its exactly cancelling cross terms left out
+(see ``_post_states``), so still the definition, not a closed formula.
+The values are maximized over measurement directions by definition. Both
+routes take their matrix spectra from the same LAPACK solvers; the
+independence that the cross-check relies on is algorithmic: explicit
+post-measurement states and a direct maximization here, closed formulas
+on the Bloch data in ``measures``.
 
 Measurements that preserve the marginal of subsystem a: when the marginal
-is non-degenerate only its own eigenbasis qualifies and the value is
-computed directly; when it is degenerate every direction qualifies and a
-theta/phi grid search with one local refinement pass takes over.
+is non-degenerate only the measurement along its Bloch vector x (its
+eigenbasis) qualifies and the value is computed directly; when it is
+degenerate, |x| < MARGINAL_EPS as in ``measures``, every direction
+qualifies and a theta/phi grid search with one local refinement pass
+takes over.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import WeakStrength
+from .measures import MARGINAL_EPS, WeakStrength
 from .qstate import ID2, PAULIS, validate_state
 
-MARGINAL_GAP_EPS = 1e-9
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
+
+# sigma_k x I, the Paulis acting on subsystem a.
+_LIFTED_PAULIS = np.kron(PAULIS, ID2)
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,13 @@ def weak_post_state(rho, d: MeasurementDirection, w: WeakStrength) -> np.ndarray
 
 
 def _marginal_direction(rho):
-    """Unit Bloch axis of the top eigenvector of subsystem a's marginal.
-
-    None when the marginal is degenerate (eigenvalue gap at most
-    MARGINAL_GAP_EPS): then every direction preserves it and the value
-    needs the grid search.
-    """
+    """Unit Bloch vector x/|x| of subsystem a's marginal, x_i = Tr(marg sigma_i), or
+    None when the marginal is degenerate, |x| < MARGINAL_EPS (|x| is its eigenvalue
+    gap): then every direction preserves it and the value needs the grid search."""
     marg = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
-    evals, vecs = np.linalg.eigh(marg)
-    if not evals[-1] - evals[0] > MARGINAL_GAP_EPS:
-        return None
-    top = vecs[:, -1]
-    m = np.array([(top.conj() @ s @ top).real for s in PAULIS])
-    return m / np.linalg.norm(m)
+    x = np.einsum("ij,kji->k", marg, PAULIS).real
+    norm = float(np.linalg.norm(x))
+    return None if norm < MARGINAL_EPS else x / norm
 
 
 def _direction_batch(thetas, phis):
@@ -101,17 +101,19 @@ def _direction_batch(thetas, phis):
     return tt, pp, ms
 
 
-def _lift_batch(p: np.ndarray) -> np.ndarray:
-    """kron(p_i, I2) for a batch of 2x2 operators."""
-    return np.einsum("nab,cd->nacbd", p, ID2).reshape(-1, 4, 4)
+def _kraus_rows(rho, t1: float, t2: float, disturbance: bool = False):
+    """The map of _post_states, or rho minus it when disturbance is set, as a
+    function of the directions ms (shape (k, 3)) that returns (k, 16) rows."""
+    a2, b2 = 0.5 * (t1 + t2) ** 2, 0.5 * (t1 - t2) ** 2
+    c_rho, c_s = (1.0 - a2, -b2) if disturbance else (a2, b2)
+    left = _LIFTED_PAULIS @ rho
+    terms = np.concatenate([rho[None], (left[:, None] @ _LIFTED_PAULIS).reshape(9, 4, 4)]).reshape(10, 16).view(float)
 
+    def rows(ms):
+        coef = np.hstack([np.full((len(ms), 1), c_rho), (c_s * ms[:, :, None] * ms[:, None, :]).reshape(-1, 9)])
+        return (coef @ terms).view(complex)
 
-def _projector_batch(ms: np.ndarray):
-    n = ms.shape[0]
-    p1 = np.broadcast_to(0.5 * ID2, (n, 2, 2)).copy()
-    for k in range(3):
-        p1 += 0.5 * ms[:, k, None, None] * PAULIS[k]
-    return p1, ID2 - p1
+    return rows
 
 
 def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
@@ -120,19 +122,13 @@ def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
     The Kraus pair is K+ = t1 P1 + t2 P2 and K- = t2 P1 + t1 P2 with
     P1, P2 = (1 +- m.sigma)/2; (t1, t2) = (0, 1) is the projective
     measurement, the weak one takes the amplitudes of its WeakStrength.
+    With S = (m.sigma) x I the pair is K+- = a I +- b S, a, b = (t1 +- t2)/2,
+    so the cross terms a b (S rho + rho S) cancel in the sum and the map is
+    exactly 2 a^2 rho + 2 b^2 S rho S, where S rho S is the sum over k, l of
+    m_k m_l (sigma_k x I) rho (sigma_l x I). The nine sandwiches are formed
+    once; all directions then take one real (k, 10) @ (10, 32) product.
     """
-    p1, p2 = _projector_batch(ms)
-    plus = _lift_batch(t1 * p1 + t2 * p2)
-    minus = _lift_batch(t2 * p1 + t1 * p2)
-    return plus @ rho @ plus + minus @ rho @ minus
-
-
-def _batch_values(deltas, norm: str) -> np.ndarray:
-    if norm == "hs":
-        return np.sum(np.abs(deltas) ** 2, axis=(1, 2))
-    if norm == "trace":
-        return np.abs(np.linalg.eigvalsh(deltas)).sum(axis=1)
-    raise ValueError("norm must be 'hs' or 'trace'")
+    return _kraus_rows(rho, t1, t2)(ms).reshape(-1, 4, 4)
 
 
 def _grid_maximize(values) -> float:
@@ -153,11 +149,17 @@ def _grid_maximize(values) -> float:
 
 
 def _brute_force(rho, norm: str, w: WeakStrength | None = None) -> float:
+    if norm not in ("hs", "trace"):
+        raise ValueError("norm must be 'hs' or 'trace'")
     rho = validate_state(rho)
-    t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
+    disturbances = _kraus_rows(rho, *((0.0, 1.0) if w is None else (w.t1, w.t2)), disturbance=True)
 
     def values(ms):
-        return _batch_values(rho - _post_states(rho, ms, t1, t2), norm)
+        """|rho - post|_2^2 (real^2 + imag^2 of the entries) or |rho - post|_1 per direction."""
+        deltas = disturbances(ms)
+        if norm == "hs":
+            return np.einsum("ij,ij->i", deltas.view(float), deltas.view(float))
+        return np.abs(np.linalg.eigvalsh(deltas.reshape(-1, 4, 4))).sum(axis=1)
 
     m = _marginal_direction(rho)
     if m is not None:
@@ -189,6 +191,4 @@ def brute_force_weak_min(rho, w: WeakStrength, norm: str) -> float:
     two conventions is reported by the validation command rather than
     hidden here.
     """
-    if norm not in ("hs", "trace"):
-        raise ValueError("norm must be 'hs' or 'trace'")
     return _brute_force(rho, norm, w)

@@ -18,8 +18,10 @@ from thermomin import (
     trace_min,
     weak_post_state,
 )
+from thermomin.measures import MARGINAL_EPS
+from thermomin.oracle import _marginal_direction, _post_states
 
-from _helpers import bell_diagonal_state, bell_phi_plus, ginibre_state
+from _helpers import ID2, SX, SY, SZ, bell_diagonal_state, bell_phi_plus, ginibre_state, random_qubit_unitary
 
 
 class TestMeasurementDirection:
@@ -136,8 +138,6 @@ class TestBruteForceProjective:
         assert brute_force_trace_min(rho) <= 1e-9
 
     def test_grid_brackets_closed_form(self):
-        from _helpers import random_qubit_unitary
-
         rng = np.random.default_rng(48)
         for k in range(8):
             rho = bell_diagonal_state(rng)
@@ -190,3 +190,79 @@ class TestBruteForceWeak:
     def test_rejects_unknown_norm(self):
         with pytest.raises(ValueError):
             brute_force_weak_min(bell_phi_plus(), WeakStrength(1.0), "nuclear")
+
+
+class TestKrausExpansion:
+    @pytest.mark.parametrize("x", [None, 0.0, 0.7, 3.0, 30.0], ids=lambda x: "projective" if x is None else f"x={x}")
+    def test_post_states_equal_literal_kraus_sum(self, x):
+        t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
+        rng = np.random.default_rng(52)
+        ms = np.vstack([np.eye(3), rng.normal(size=(47, 3))])
+        ms /= np.linalg.norm(ms, axis=1, keepdims=True)
+        for _ in range(4):
+            rho = ginibre_state(rng)
+            rows = _post_states(rho, ms, t1, t2)
+            for m, row in zip(ms, rows):
+                p1, p2 = direction_from_vector(m).projectors()
+                plus = np.kron(t1 * p1 + t2 * p2, ID2)
+                minus = np.kron(t2 * p1 + t1 * p2, ID2)
+                assert np.max(np.abs(row - (plus @ rho @ plus + minus @ rho @ minus))) <= 1e-14
+
+
+def shifted_bell_state(rng, size):
+    """Locally rotated Bell-diagonal state whose a-marginal Bloch vector has length size."""
+    lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
+    rho = lift @ bell_diagonal_state(rng) @ lift.conj().T
+    n = rng.normal(size=3)
+    n *= size / np.linalg.norm(n)
+    return rho + np.kron(n[0] * SX + n[1] * SY + n[2] * SZ, ID2) / 4.0
+
+
+class TestNearDegenerateMarginal:
+    """Accuracy envelope of the direct case as the marginal approaches degeneracy.
+
+    Both routes divide by |x| (the closed forms to project on x/|x|, the
+    oracle to take its direction), so their deviation grows like eps/|x|.
+    The worst measured deviation times |x| over these states is 1.98e-17;
+    the envelope doubles it.
+    """
+
+    ENVELOPE_C = 4e-17
+    SIZES = (1e-5, 1e-6, 1e-7, 1e-8)
+
+    @staticmethod
+    def worst_deviation(size):
+        rng = np.random.default_rng(53)
+        worst = 0.0
+        for _ in range(60):
+            rho = shifted_bell_state(rng, size)
+            worst = max(
+                worst,
+                abs(hs_min(rho) - brute_force_hs_min(rho)),
+                abs(trace_min(rho) - brute_force_trace_min(rho)),
+            )
+        return worst
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_deviation_within_envelope(self, size):
+        worst = self.worst_deviation(size)
+        assert worst <= self.ENVELOPE_C / size
+        if size >= 1e-7:
+            assert worst <= 1e-9
+
+    @pytest.mark.parametrize("size", [np.nextafter(MARGINAL_EPS, 0.0), MARGINAL_EPS], ids=["below", "at"])
+    def test_both_routes_take_the_same_branch_at_the_threshold(self, size):
+        # x = (size, 0, 0): both routes read |x| = size bit for bit from this
+        # state, so only the threshold convention decides the branch. The
+        # correlation matrix diag(0.6, -0.3, 0.2) makes the branches differ:
+        # N2 = Tr(T T^t) - c_1^2/4 along x but Tr(T T^t) - c_3^2/4 over all
+        # directions, N1 = 0.3 along x but 0.6 over all.
+        ops = [np.eye(4), np.kron(SX, ID2), np.kron(SX, SX), np.kron(SY, SY), np.kron(SZ, SZ)]
+        rho = sum(c * op for c, op in zip((1.0, size, 0.6, -0.3, 0.2), ops)) / 4.0
+        degenerate = size < MARGINAL_EPS
+        assert (_marginal_direction(rho) is None) == degenerate
+        trace_tt = 0.25 * (0.36 + 0.09 + 0.04)
+        assert hs_min(rho) == pytest.approx(trace_tt - (0.01 if degenerate else 0.09), abs=1e-12)
+        assert trace_min(rho) == pytest.approx(0.6 if degenerate else 0.3, abs=1e-12)
+        assert brute_force_hs_min(rho) == pytest.approx(hs_min(rho), abs=1e-9)
+        assert brute_force_trace_min(rho) == pytest.approx(trace_min(rho), abs=1e-9)
