@@ -4,11 +4,19 @@ Post-measurement states are the Kraus map K+ rho K+ + K- rho K- on
 subsystem a, summed as 2 a^2 rho + 2 b^2 S rho S with S = (m.sigma) x I:
 the same operator sum with its exactly cancelling cross terms left out
 (see ``_post_states``), so still the definition, not a closed formula.
-The values are maximized over measurement directions by definition. Both
-routes take their matrix spectra from the same LAPACK solvers; the
-independence that the cross-check relies on is algorithmic: explicit
-post-measurement states and a direct maximization here, closed formulas
-on the Bloch data in ``measures``.
+The values are maximized over measurement directions by definition.
+
+Each direction's disturbance D = rho - Omega(rho) is formed explicitly
+from that Kraus map as a 4x4 matrix. Its Hilbert-Schmidt norm is the sum
+of its squared entries. Its trace norm comes from the 2x2 block that D
+holds between the two eigenvectors of m.sigma, which are written down
+from m: S D S = -D makes D block off-diagonal in that basis (see
+``_trace_norms``), and on seeded states the block norm matches the sum of
+|eigenvalues| of D to 1.1e-15. So the oracle takes no matrix spectrum at
+all and shares no solver with ``measures``; the cross-check rests on two
+different algorithms: explicit post-measurement states, entrywise norms
+and a direct maximization here, closed formulas on the Bloch data with
+LAPACK singular values and eigenvalues there.
 
 Measurements that preserve the marginal of subsystem a: when the marginal
 is non-degenerate only the measurement along its Bloch vector x (its
@@ -20,6 +28,7 @@ takes over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +39,11 @@ from .qstate import ID2, PAULIS, validate_state
 
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
+# Directions per pass of a grid search. The disturbances of the whole
+# 20,000-direction grid take 5 MB, and their temporaries as much again,
+# which set the peak memory of a validate run; a row's value does not
+# depend on the chunk it is computed in.
+_CHUNK = 4000
 
 # sigma_k x I, the Paulis acting on subsystem a.
 _LIFTED_PAULIS = np.kron(PAULIS, ID2)
@@ -131,12 +145,51 @@ def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
     return _kraus_rows(rho, t1, t2)(ms).reshape(-1, 4, 4)
 
 
-def _grid_maximize(values) -> float:
-    """Largest values(ms) over a theta/phi grid plus one refinement pass."""
+def _trace_norms(deltas, ms) -> np.ndarray:
+    """|D|_1 of each disturbance D (rows of deltas) for its direction in ms, without an eigensolve.
+
+    D = rho - Omega(rho) = 2 b^2 (rho - S rho S) with S = (m.sigma) x I and
+    S^2 = I, so S D S = -D. In the eigenbasis u+, u- of m.sigma, D is then
+    [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I); its
+    eigenvalues are +-s1, +-s2, the singular values of B, and
+    |D|_1 = 2 (s1 + s2) = 2 sqrt(|B|_F^2 + 2 |det B|).
+    The eigenvectors are those of n.sigma for n = m or -m, whichever has
+    n_z >= 0: u+ = (c, w) and u- = (-conj w, c) with c = 1 + n_z >= 1 and
+    w = n_x + i n_y, each of squared length 2c, so no pole divides by zero.
+    For n = -m the pair comes out swapped, which turns B into B^+ and leaves
+    the norm unchanged.
+    """
+    n = np.where(ms[:, 2:] < 0.0, -ms, ms)
+    c = 1.0 + n[:, 2]
+    w = n[:, 0] + 1j * n[:, 1]
+    up = np.stack([c, w], axis=1)
+    um = np.stack([-w.conj(), c], axis=1)
+    # B_bb' = sum over a, a' of conj(u+_a) u-_a' D_(ab),(a'b') / 2c.
+    coef = (up.conj()[:, :, None] * um[:, None, :]).reshape(-1, 1, 4) / (2.0 * c)[:, None, None]
+    blocks = deltas.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    b = (coef @ blocks).reshape(-1, 4)
+    det = b[:, 0] * b[:, 3] - b[:, 1] * b[:, 2]
+    fro = np.einsum("ij,ij->i", b.view(float), b.view(float))
+    return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
+
+
+@functools.cache
+def _coarse_grid():
+    """The GRID_RESOLUTION x 2 GRID_RESOLUTION directions of every grid search,
+    built on first use and kept read-only."""
     g = GRID_RESOLUTION
     thetas = np.linspace(0.0, math.pi, g)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
-    tt, pp, ms = _direction_batch(thetas, phis)
+    grid = _direction_batch(thetas, phis)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _grid_maximize(values) -> float:
+    """Largest values(ms) over a theta/phi grid plus one refinement pass."""
+    g = GRID_RESOLUTION
+    tt, pp, ms = _coarse_grid()
     coarse = values(ms)
     best = int(np.argmax(coarse))
     # One refinement pass at 10x resolution around the best cell.
@@ -156,10 +209,14 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None) -> float:
 
     def values(ms):
         """|rho - post|_2^2 (real^2 + imag^2 of the entries) or |rho - post|_1 per direction."""
-        deltas = disturbances(ms)
-        if norm == "hs":
-            return np.einsum("ij,ij->i", deltas.view(float), deltas.view(float))
-        return np.abs(np.linalg.eigvalsh(deltas.reshape(-1, 4, 4))).sum(axis=1)
+        out = np.empty(len(ms))
+        for i in range(0, len(ms), _CHUNK):
+            part = ms[i : i + _CHUNK]
+            deltas = disturbances(part)
+            out[i : i + _CHUNK] = (
+                np.einsum("ij,ij->i", deltas.view(float), deltas.view(float)) if norm == "hs" else _trace_norms(deltas, part)
+            )
+        return out
 
     m = _marginal_direction(rho)
     if m is not None:

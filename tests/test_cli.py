@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermomin import bloch_decompose, oracle
 from thermomin.cli import (
     InvalidConfig,
     IoFailure,
@@ -15,6 +16,7 @@ from thermomin.cli import (
     run_time_sweep,
     run_validation,
 )
+from thermomin.measures import MARGINAL_EPS
 
 # The package's source directory; pytest's pythonpath setting does not reach a subprocess.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -177,6 +179,23 @@ class TestValidateCommand:
         line = next(l for l in report.splitlines() if marker in l)
         assert line.endswith("PASS")
         assert "(1 - t1 t2)" in report
+
+    def test_oracle_states_lie_outside_the_branch_band(self, monkeypatch):
+        # The degenerate-marginal branch is undefined for |x| within 3e-16 of
+        # MARGINAL_EPS (tests/test_oracle.py::TestBranchBand), so no state that
+        # validate hands the oracle may lie there.
+        lengths = []
+        marginal_direction = oracle._marginal_direction
+
+        def record(rho):
+            lengths.append(float(np.linalg.norm(bloch_decompose(rho).x)))
+            return marginal_direction(rho)
+
+        monkeypatch.setattr(oracle, "_marginal_direction", record)
+        _, status = run_validation(sample_count=20, seed=7)
+        assert status == 0
+        assert len(lengths) > 100
+        assert np.min(np.abs(np.array(lengths) - MARGINAL_EPS)) > 3e-16
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(InvalidConfig):

@@ -18,8 +18,9 @@ from thermomin import (
     trace_min,
     weak_post_state,
 )
+from thermomin import oracle
 from thermomin.measures import MARGINAL_EPS
-from thermomin.oracle import _marginal_direction, _post_states
+from thermomin.oracle import _coarse_grid, _direction_batch, _kraus_rows, _marginal_direction, _post_states, _trace_norms
 
 from _helpers import ID2, SX, SY, SZ, bell_diagonal_state, bell_phi_plus, ginibre_state, random_qubit_unitary
 
@@ -209,6 +210,84 @@ class TestKrausExpansion:
                 assert np.max(np.abs(row - (plus @ rho @ plus + minus @ rho @ minus))) <= 1e-14
 
 
+def degenerate_marginal_state(rng):
+    """Locally rotated Bell-diagonal state, half of them blended with I/2 x tau_b:
+    subsystem a's marginal stays maximally mixed."""
+    lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
+    rho = lift @ bell_diagonal_state(rng) @ lift.conj().T
+    if rng.random() < 0.5:
+        rho = 0.6 * rho + 0.4 * np.kron(ID2 / 2.0, partial_trace(ginibre_state(rng), "b"))
+    return rho
+
+
+class TestTraceNormBlock:
+    """The oracle's trace norm, 2 sqrt(|B|_F^2 + 2 |det B|) of the 2x2 block B
+    that the disturbance D holds between the eigenvectors of m.sigma."""
+
+    STRENGTHS = [None, 0.0, 0.7, 3.0, 30.0]
+
+    @staticmethod
+    def directions():
+        # A coarse theta/phi grid with both poles and the equator, plus the
+        # points where the eigenvector construction switches branch (m_z = 0
+        # and m_z = +-1e-12) and the exact poles and equator axes.
+        _, _, grid = _direction_batch(np.linspace(0.0, math.pi, 21), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+        e = 1e-12
+        q = math.sqrt(1.0 - e * e)
+        special = [
+            [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.6, 0.8, 0.0],
+            [q, 0.0, e], [q, 0.0, -e], [0.0, q, e], [-0.6 * q, -0.8 * q, -e],
+        ]
+        return np.vstack([grid, special])
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(55)
+        return [ginibre_state(rng) if k % 2 == 0 else degenerate_marginal_state(rng) for k in range(12)]
+
+    @pytest.mark.parametrize("x", STRENGTHS, ids=lambda x: "projective" if x is None else f"x={x}")
+    def test_disturbance_anticommutes_with_the_measured_operator(self, x):
+        t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
+        ms = self.directions()
+        lifted = np.kron(np.einsum("kp,pij->kij", ms, np.array([SX, SY, SZ])), ID2)
+        for rho in self.states():
+            d = _kraus_rows(rho, t1, t2, disturbance=True)(ms).reshape(-1, 4, 4)
+            assert np.max(np.abs(d + lifted @ d @ lifted)) <= 1e-15
+
+    @pytest.mark.parametrize("x", STRENGTHS, ids=lambda x: "projective" if x is None else f"x={x}")
+    def test_block_norm_matches_eigenvalue_norm(self, x):
+        t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
+        ms = self.directions()
+        for rho in self.states():
+            rows = _kraus_rows(rho, t1, t2, disturbance=True)(ms)
+            literal = np.abs(np.linalg.eigvalsh(rows.reshape(-1, 4, 4))).sum(axis=1)
+            assert np.max(np.abs(_trace_norms(rows, ms) - literal)) <= 1e-14
+
+    def test_grid_trace_norm_takes_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve on the oracle's trace-norm path")
+
+        rho = degenerate_marginal_state(np.random.default_rng(56))
+        assert _marginal_direction(rho) is None
+        # Validation solves for the smallest eigenvalue by design; it is not
+        # on the trace-norm path, so it is bypassed here for the valid state.
+        monkeypatch.setattr(oracle, "validate_state", lambda r: r)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert brute_force_trace_min(rho) > 0.0
+        assert brute_force_weak_min(rho, WeakStrength(0.7), "trace") > 0.0
+
+
+def test_coarse_grid_is_built_once_and_read_only():
+    g = oracle.GRID_RESOLUTION
+    fresh = _direction_batch(np.linspace(0.0, math.pi, g), np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False))
+    cached = _coarse_grid()
+    assert _coarse_grid() is cached
+    for a, b in zip(cached, fresh):
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
 def shifted_bell_state(rng, size):
     """Locally rotated Bell-diagonal state whose a-marginal Bloch vector has length size."""
     lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
@@ -266,3 +345,41 @@ class TestNearDegenerateMarginal:
         assert trace_min(rho) == pytest.approx(0.6 if degenerate else 0.3, abs=1e-12)
         assert brute_force_hs_min(rho) == pytest.approx(hs_min(rho), abs=1e-9)
         assert brute_force_trace_min(rho) == pytest.approx(trace_min(rho), abs=1e-9)
+
+
+class TestBranchBand:
+    """Where the degenerate-marginal branch is undefined.
+
+    hs_min, trace_min (after its rotation) and the oracle each compute |x|
+    with their own sums. On 15,552 seeded states with x in random
+    directions, those three lengths agree to 5.5e-17 and lie within
+    2.2e-16 of the length the state was built with, so a state built with
+    |x| within BAND = 3e-16 of MARGINAL_EPS can take different branches in
+    different routes: the band where the branch is undefined. Just outside
+    it, every route takes the branch of the nominal length.
+    """
+
+    BAND = 3e-16
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_routes_share_the_branch_just_outside_the_band(self, side):
+        rng = np.random.default_rng(57)
+        base = np.empty((200, 4, 4), dtype=complex)
+        shift = np.empty_like(base)
+        for k in range(len(base)):
+            lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
+            base[k] = 0.9 * lift @ bell_diagonal_state(rng) @ lift.conj().T + 0.025 * np.eye(4)
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            shift[k] = np.kron(n[0] * SX + n[1] * SY + n[2] * SZ, ID2) / 4.0
+        rho = base + (MARGINAL_EPS + side * 2.0 * self.BAND) * shift
+        degenerate = side < 0.0
+        assert all((_marginal_direction(r) is None) == degenerate for r in rho)
+        # The shift leaves the correlations alone, so the closed forms take
+        # their degenerate-branch value at x = 0 and their direct-branch value
+        # anywhere along the same x/|x|; the branches differ by 5e-6 or more
+        # on these states and the values near the band drift by 5e-8 at most.
+        for closed in (hs_min, trace_min):
+            value = closed(rho)
+            near_degenerate = np.abs(value - closed(base)) < np.abs(value - closed(base + 1e-4 * shift))
+            assert np.all(near_degenerate == degenerate)
