@@ -8,8 +8,8 @@ sweep-strength  CSV of projective and weak nonlocality values for each
                 measurement strength x at fixed (n, r).
 validate        Cross-checks the closed forms against the brute-force
                 route and the exact propagator against the fixed-step
-                order-5 integrator; exit status 0 only if every
-                required check passes.
+                order-5 integrator; exit status 0 only if every check
+                passes.
 """
 
 from __future__ import annotations
@@ -135,10 +135,12 @@ def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
 # validate command
 
 
-def _random_state(rng) -> np.ndarray:
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def _random_states(rng, k: int, dim: int = 4) -> np.ndarray:
+    """(k, dim, dim) stack of Ginibre states, each drawn as a real then an imaginary part."""
+    g = rng.normal(size=(k, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _random_degenerate_state(rng) -> np.ndarray:
@@ -146,44 +148,24 @@ def _random_degenerate_state(rng) -> np.ndarray:
     # Mixture of the four Bell projectors, rotated locally and optionally
     # blended with I/2 x tau_b; every ingredient has zero a-side Bloch
     # vector, and the a-side rotation moves the optimum off the grid axes.
-    s = 1.0 / math.sqrt(2.0)
-    bell = np.array(
-        [
-            [0.0, s, s, 0.0],
-            [0.0, s, -s, 0.0],
-            [s, 0.0, 0.0, s],
-            [s, 0.0, 0.0, -s],
-        ],
-        dtype=complex,
-    )
+    bell = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]]) / math.sqrt(2.0)
     probs = rng.dirichlet(np.ones(4))
-    rho = sum(pk * np.outer(v, v.conj()) for pk, v in zip(probs, bell))
+    rho = sum(pk * np.outer(v, v) for pk, v in zip(probs, bell))
     ua = _random_qubit_unitary(rng) if rng.random() < 0.5 else qstate.ID2
     lift = np.kron(ua, _random_qubit_unitary(rng))
     rho = lift @ rho @ lift.conj().T
     if rng.random() < 0.5:
-        tau = _random_qubit_state(rng)
+        tau = _random_states(rng, 1, dim=2)[0]
         lam = rng.uniform(0.2, 0.8)
         rho = lam * rho + (1.0 - lam) * np.kron(qstate.ID2 / 2.0, tau)
     return rho
 
 
-def _random_qubit_state(rng) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    tau = g @ g.conj().T
-    return tau / np.trace(tau).real
-
-
 def _random_qubit_unitary(rng) -> np.ndarray:
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
-    return np.array(
-        [
-            [q[0] + 1j * q[1], q[2] + 1j * q[3]],
-            [-q[2] + 1j * q[3], q[0] - 1j * q[1]],
-        ],
-        dtype=complex,
-    )
+    a, b = q[0] + 1j * q[1], q[2] + 1j * q[3]
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
 
 _GRID_COMBOS = [(n, r) for n in (0.1, 0.5, 1.0) for r in (0.3, 0.5, 1.0)]
@@ -208,34 +190,29 @@ def _trajectory_direct_samples():
 
 
 def run_validation(sample_count: int = 20, seed: int = 7):
-    """Cross-check report and exit status (0 only if all required checks pass).
+    """Cross-check report and exit status (0 only if every check passes).
 
     Sections: (a) exact propagator vs the fixed-step order-5 integrator,
     (b) closed forms vs brute-force maximization on trajectory and seeded
-    random states, (c) invariant
-    suites, (d) weak-measurement scaling, where the required part confirms
-    the direct maximization ratio (1 - 2 t1 t2)^2 and the difference from
-    the reported (1 - t1 t2) convention is informational.
+    random states, (c) invariant suites, (d) weak-measurement scaling,
+    which checks the direct maximization ratio (1 - 2 t1 t2)^2 and reports
+    its difference from the (1 - t1 t2) convention as information. Each
+    check draws its seeded states first and evaluates them as one stack.
     """
     if sample_count < 1:
         raise InvalidConfig(f"sample count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
-    lines = []
-    results = []  # (required, name, passed)
+    lines = ["thermomin validation report", f"seed = {seed}, random samples = {sample_count}", ""]
+    results = []
 
-    def record(required, name, passed, detail):
-        results.append((required, name, passed))
-        flag = "PASS" if passed else "FAIL"
-        lines.append(f"    {detail} -> {flag}")
-
-    lines.append("thermomin validation report")
-    lines.append(f"seed = {seed}, random samples = {sample_count}")
-    lines.append("")
+    def record(passed, detail):
+        results.append(passed)
+        lines.append(f"    {detail} -> {'PASS' if passed else 'FAIL'}")
 
     # (a) exact propagator vs integrator
     lines.append("[a] exact propagator vs fixed-step order-5 integrator (gamma*t in [0, 5], 500 steps)")
     worst = _check_rk4_agreement(lines)
-    record(True, "rk4-agreement", worst <= 1e-8, f"worst dev = {worst:.6e} (tolerance 1.0e-08)")
+    record(worst <= 1e-8, f"worst dev = {worst:.6e} (tolerance 1.0e-08)")
     lines.append("")
 
     # (b) closed forms vs brute force
@@ -244,44 +221,32 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     dev_hs = float(np.max(np.abs(measures.hs_min(samples) - [oracle.brute_force_hs_min(s) for s in samples])))
     dev_tr = float(np.max(np.abs(measures.trace_min(samples) - [oracle.brute_force_trace_min(s) for s in samples])))
     record(
-        True,
-        "oracle-trajectory",
         dev_hs <= 1e-9 and dev_tr <= 1e-9,
         f"trajectory samples ({len(samples)}, direct case): hs dev = {dev_hs:.6e}, "
         f"trace dev = {dev_tr:.6e} (tolerance 1.0e-09)",
     )
-    dev_direct = 0.0
-    dev_grid = 0.0
-    n_grid = 0
-    for i in range(sample_count):
-        if i % 2 == 0:
-            rho = _random_state(rng)
-        else:
-            rho = _random_degenerate_state(rng)
-        d_hs = abs(measures.hs_min(rho) - oracle.brute_force_hs_min(rho))
-        d_tr = abs(measures.trace_min(rho) - oracle.brute_force_trace_min(rho))
-        if oracle._marginal_direction(rho) is not None:
-            dev_direct = max(dev_direct, d_hs, d_tr)
-        else:
-            n_grid += 1
-            dev_grid = max(dev_grid, d_hs, d_tr)
+    states = np.array(
+        [_random_states(rng, 1)[0] if i % 2 == 0 else _random_degenerate_state(rng) for i in range(sample_count)]
+    )
+    dev = np.maximum(
+        np.abs(measures.hs_min(states) - [oracle.brute_force_hs_min(rho) for rho in states]),
+        np.abs(measures.trace_min(states) - [oracle.brute_force_trace_min(rho) for rho in states]),
+    )
+    grid = np.array([oracle._marginal_direction(rho) is None for rho in states])
+    dev_direct = float(dev[~grid].max(initial=0.0))
+    dev_grid = float(dev[grid].max(initial=0.0))
     record(
-        True,
-        "oracle-random",
         dev_direct <= 1e-9 and dev_grid <= 1e-3,
-        f"random states ({sample_count}, {n_grid} via grid search): direct dev = "
+        f"random states ({sample_count}, {grid.sum()} via grid search): direct dev = "
         f"{dev_direct:.6e} (tol 1.0e-09), grid dev = {dev_grid:.6e} (tol 1.0e-03)",
     )
     lines.append("")
 
     # (c) invariant suites
     lines.append("[c] invariant suites")
-    dev = 0.0
-    for _ in range(100):
-        rho = _random_state(rng)
-        back = qstate.bloch_compose(qstate.bloch_decompose(rho))
-        dev = max(dev, float(np.max(np.abs(back - rho))))
-    record(True, "bloch-round-trip", dev <= 1e-12, f"bloch round trip (100 states): max dev = {dev:.6e} (tol 1.0e-12)")
+    states = _random_states(rng, 100)
+    dev = float(np.max(np.abs(qstate.bloch_compose(qstate.bloch_decompose(states)) - states)))
+    record(dev <= 1e-12, f"bloch round trip (100 states): max dev = {dev:.6e} (tol 1.0e-12)")
 
     dev = 0.0
     for _ in range(100):
@@ -291,61 +256,46 @@ def run_validation(sample_count: int = 20, seed: int = 7):
         evals, vecs = qstate.hermitian_eigensystem(h)
         dev = max(dev, float(np.max(np.abs((vecs * evals) @ vecs.conj().T - h))))
         dev = max(dev, float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim)))))
-    record(True, "eigensystem", dev <= 1e-10, f"eigensystem reconstruction (100 matrices): max dev = {dev:.6e} (tol 1.0e-10)")
+    record(dev <= 1e-10, f"eigensystem reconstruction (100 matrices): max dev = {dev:.6e} (tol 1.0e-10)")
 
-    ok = True
-    for _ in range(50):
-        rho = _random_state(rng)
-        a = rho - np.trace(rho) / 4.0 * np.eye(4)
-        ok = ok and qstate.trace_norm(a) >= math.sqrt(qstate.hs_norm_sq(a)) - 1e-12
-        red = qstate.partial_trace(rho, "b")
-        ok = ok and abs(np.trace(red).real - 1.0) <= 1e-12
-    record(True, "norms-and-marginals", ok, "trace_norm >= hs norm and trace-preserving reductions (50 states)")
+    states = _random_states(rng, 50)
+    traceless = states - np.trace(states, axis1=-2, axis2=-1)[:, None, None] / 4.0 * np.eye(4)
+    ok = all(qstate.trace_norm(a) >= math.sqrt(qstate.hs_norm_sq(a)) - 1e-12 for a in traceless)
+    red = qstate.partial_trace(states, "b")
+    ok = ok and bool(np.all(np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0) <= 1e-12))
+    record(ok, "trace_norm >= hs norm and trace-preserving reductions (50 states)")
 
-    dev = 0.0
-    w1 = measures.WeakStrength(1.0)
-    mono_ok = True
-    order_ok = True
-    for n, r in ((0.1, 0.3), (0.1, 1.0), (0.5, 0.5), (1.0, 0.3), (1.0, 1.0)):
-        p = dynamics.ModelParams(n=n, r=r)
-        previous = None
-        for t in np.linspace(0.0, 5.0, 12):
-            rho = dynamics.analytic_state_at(p, t)
-            r23 = abs(rho[1, 2])
-            c_gen = measures.concurrence(rho)
-            n2 = measures.hs_min(rho)
-            n1 = measures.trace_min(rho)
-            dev = max(dev, abs(measures.concurrence_xstate(rho) - c_gen))
-            dev = max(dev, abs(n2 - 2.0 * r23**2), abs(n1 - 2.0 * r23))
-            rep = measures.evaluate_measures(rho, w1)
-            order_ok = order_ok and 0.0 <= rep.C <= 1.0 and rep.N2W <= rep.N2 + 1e-15
-            order_ok = order_ok and rep.N1W <= rep.N1 + 1e-15 and n1 >= n2 - 1e-12
-            if previous is not None:
-                mono_ok = mono_ok and c_gen <= previous[0] + 1e-12
-                mono_ok = mono_ok and n2 <= previous[1] + 1e-12 and n1 <= previous[2] + 1e-12
-            previous = (c_gen, n2, n1)
-    record(True, "xstate-identities", dev <= 1e-10, f"x-state shortcuts vs general routes (60 samples): max dev = {dev:.6e} (tol 1.0e-10)")
-    record(True, "measure-ordering", order_ok and mono_ok, "measure bounds, weak <= projective, monotone decay along trajectories")
+    # Five trajectories of 12 times each, one row per trajectory.
+    times = np.linspace(0.0, 5.0, 12)
+    pairs = ((0.1, 0.3), (0.1, 1.0), (0.5, 0.5), (1.0, 0.3), (1.0, 1.0))
+    states = np.array([dynamics.analytic_states(dynamics.ModelParams(n=n, r=r), times) for n, r in pairs])
+    rep = measures.evaluate_measures(states, measures.WeakStrength(1.0))
+    c_x = np.reshape([measures.concurrence_xstate(rho) for rho in states.reshape(-1, 4, 4)], rep.C.shape)
+    r23 = np.abs(states[..., 1, 2])
+    dev = max(float(np.max(np.abs(a - b))) for a, b in ((c_x, rep.C), (2.0 * r23**2, rep.N2), (2.0 * r23, rep.N1)))
+    record(dev <= 1e-10, f"x-state shortcuts vs general routes (60 samples): max dev = {dev:.6e} (tol 1.0e-10)")
+    bounds = (0.0 <= rep.C) & (rep.C <= 1.0) & (rep.N2W <= rep.N2 + 1e-15) & (rep.N1W <= rep.N1 + 1e-15)
+    ok = bool(np.all(bounds & (rep.N1 >= rep.N2 - 1e-12)))
+    ok = ok and all(np.all(v[:, 1:] <= v[:, :-1] + 1e-12) for v in (rep.C, rep.N2, rep.N1))
+    record(ok, "measure bounds, weak <= projective, monotone decay along trajectories")
 
-    dev = 0.0
-    for _ in range(15):
-        rho = _random_state(rng)
-        lift = np.kron(_random_qubit_unitary(rng), _random_qubit_unitary(rng))
-        rotated = lift @ rho @ lift.conj().T
-        dev = max(dev, abs(measures.hs_min(rotated) - measures.hs_min(rho)))
-        dev = max(dev, abs(measures.trace_min(rotated) - measures.trace_min(rho)))
-    record(True, "local-unitary", dev <= 1e-8, f"local-unitary invariance (15 states): max dev = {dev:.6e} (tol 1.0e-08)")
+    triples = [(_random_states(rng, 1)[0], _random_qubit_unitary(rng), _random_qubit_unitary(rng)) for _ in range(15)]
+    states = np.array([rho for rho, _, _ in triples])
+    lifts = np.array([np.kron(ua, ub) for _, ua, ub in triples])
+    rotated = lifts @ states @ lifts.conj().swapaxes(-1, -2)
+    dev = max(float(np.max(np.abs(f(rotated) - f(states)))) for f in (measures.hs_min, measures.trace_min))
+    record(dev <= 1e-8, f"local-unitary invariance (15 states): max dev = {dev:.6e} (tol 1.0e-08)")
 
     xs = np.linspace(0.0, 5.0, 21)
     factors = [measures.weak_factor(measures.WeakStrength(float(x))) for x in xs]
     ok = all(b > a for a, b in zip(factors, factors[1:]))
     ok = ok and abs(factors[0] - 0.5) <= 1e-14
     ok = ok and abs(measures.weak_factor(measures.WeakStrength(30.0)) - 1.0) <= 1e-12
-    record(True, "weak-factor", ok, "weak factor strictly increasing, f(0) = 1/2, f(30) = 1")
+    record(ok, "weak factor strictly increasing, f(0) = 1/2, f(30) = 1")
 
     dev_idem = dev_norm = dev_ident = dev_limit = 0.0
     for _ in range(15):
-        rho = _random_state(rng)
+        rho = _random_states(rng, 1)[0]
         d = oracle.direction_from_vector(rng.normal(size=3))
         w = measures.WeakStrength(float(rng.uniform(0.0, 3.0)))
         post = oracle.projective_post_state(rho, d)
@@ -363,8 +313,6 @@ def run_validation(sample_count: int = 20, seed: int = 7):
         dev_limit = max(dev_limit, float(np.max(np.abs(oracle.weak_post_state(rho, d, measures.WeakStrength(0.0)) - rho))))
         dev_limit = max(dev_limit, float(np.max(np.abs(oracle.weak_post_state(rho, d, measures.WeakStrength(30.0)) - post))))
     record(
-        True,
-        "post-states",
         dev_idem <= 1e-12 and dev_norm <= 1e-14 and dev_ident <= 1e-13 and dev_limit <= 1e-12,
         f"post-state contracts: idempotence {dev_idem:.2e}, operator normalization {dev_norm:.2e}, "
         f"weak identity {dev_ident:.2e}, strength limits {dev_limit:.2e}",
@@ -379,7 +327,7 @@ def run_validation(sample_count: int = 20, seed: int = 7):
             qstate.validate_state(dynamics.analytic_states(p, np.linspace(0.0, 50.0, 26)))
     except (qstate.NotHermitian, qstate.TraceNotOne, qstate.NotPositive):
         ok = False
-    record(True, "state-validity", ok, "every sampled trajectory state passes validation")
+    record(ok, "every sampled trajectory state passes validation")
     lines.append("")
 
     # (d) weak-measurement scaling
@@ -394,8 +342,6 @@ def run_validation(sample_count: int = 20, seed: int = 7):
         ratio = oracle.brute_force_weak_min(rho, w, "hs") / n2
         worst_ratio_dev = max(worst_ratio_dev, abs(ratio - expected))
     record(
-        True,
-        "weak-ratio",
         worst_ratio_dev <= 1e-6,
         f"direct maximization ratio |rho-Omega|_2^2 / N2 equals (1-2 t1 t2)^2: "
         f"max dev = {worst_ratio_dev:.6e} (tolerance 1.0e-06)",
@@ -413,10 +359,9 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     )
     lines.append("")
 
-    required_fail = sum(1 for req, _, passed in results if req and not passed)
-    total_required = sum(1 for req, _, _ in results if req)
-    status = 0 if required_fail == 0 else 1
-    lines.append(f"summary: {total_required} required checks, {required_fail} failed")
+    failed = results.count(False)
+    status = 0 if failed == 0 else 1
+    lines.append(f"summary: {len(results)} required checks, {failed} failed")
     lines.append(f"exit status: {status}")
     return "\n".join(lines) + "\n", status
 

@@ -153,13 +153,13 @@ def matrix_sqrt_psd(m) -> np.ndarray:
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:
-    """Reduced 2x2 state of subsystem "a" (left factor) or "b" (right)."""
+    """Reduced 2x2 state of subsystem "a" (left factor) or "b" (right); (..., 2, 2) for a stack."""
     rho = validate_state(rho)
-    r = rho.reshape(2, 2, 2, 2)
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "a":
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if subsystem == "b":
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise ValueError("subsystem must be 'a' or 'b'")
 
 
@@ -189,8 +189,8 @@ def _bloch(rho: np.ndarray) -> BlochRep:
 
 
 def bloch_compose(b: BlochRep) -> np.ndarray:
-    """Rebuild a density matrix from Bloch data; raises NotPositive for non-states."""
-    v = np.concatenate([b.x, b.y, np.ravel(b.C)])
+    """Rebuild a density matrix, or a (..., 4, 4) stack, from Bloch data; raises NotPositive for non-states."""
+    v = np.concatenate([b.x, b.y, np.reshape(b.C, np.shape(b.C)[:-2] + (9,))], axis=-1)
     return validate_state((ID4 + np.tensordot(v, _PAULI_BASIS, axes=1)) / 4.0)
 
 

@@ -17,6 +17,7 @@ from thermomin import (
     concurrence,
     evaluate_measures,
     hs_min,
+    partial_trace,
     trace_min,
     validate_state,
 )
@@ -69,16 +70,26 @@ def test_mixed_stack_covers_every_branch():
     assert set(hs_branch) == {"degenerate", "projection"}
 
 
-@pytest.mark.parametrize("measure", [concurrence, hs_min, trace_min])
-def test_stack_matches_entries_bitwise(measure):
+@pytest.mark.parametrize(
+    "measure, shape",
+    [
+        pytest.param(concurrence, (), id="concurrence"),
+        pytest.param(hs_min, (), id="hs_min"),
+        pytest.param(trace_min, (), id="trace_min"),
+        pytest.param(lambda rho: partial_trace(rho, "a"), (2, 2), id="partial_trace_a"),
+        pytest.param(lambda rho: partial_trace(rho, "b"), (2, 2), id="partial_trace_b"),
+        pytest.param(lambda rho: bloch_compose(bloch_decompose(rho)), (4, 4), id="bloch_round_trip"),
+    ],
+)
+def test_stack_matches_entries_bitwise(measure, shape):
     stack = mixed_stack()
     values = measure(stack)
-    assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+    assert isinstance(values, np.ndarray) and values.shape == (len(stack), *shape)
     for i, rho in enumerate(stack):
         single = measure(rho)
-        assert isinstance(single, float)
-        assert values[i] == single, i
-    np.testing.assert_array_equal(measure(stack.reshape(2, -1, 4, 4)), values.reshape(2, -1))
+        assert isinstance(single, float) if shape == () else single.shape == shape
+        assert np.array_equal(values[i], single), i
+    np.testing.assert_array_equal(measure(stack.reshape(2, -1, 4, 4)), values.reshape(2, -1, *shape))
 
 
 def test_evaluate_measures_and_bloch_stacks_match_entries_bitwise():
@@ -93,6 +104,14 @@ def test_evaluate_measures_and_bloch_stacks_match_entries_bitwise():
         )
         bi = bloch_decompose(rho)
         assert np.array_equal(b.x[i], bi.x) and np.array_equal(b.y[i], bi.y) and np.array_equal(b.C[i], bi.C)
+
+
+def test_bloch_compose_stack_names_the_non_state():
+    b = bloch_decompose(mixed_stack())
+    C = b.C.copy()
+    C[3] = 3.0 * np.eye(3)  # singlet eigenvalue (1 - 9) / 4, shifted by at most 1/2 by x and y
+    with pytest.raises(NotPositive, match=r"^state 3: "):
+        bloch_compose(BlochRep(x=b.x, y=b.y, C=C))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermomin import bloch_decompose, oracle
+from thermomin import bloch_decompose, dynamics, oracle
 from thermomin.cli import (
     InvalidConfig,
     IoFailure,
@@ -196,6 +196,30 @@ class TestValidateCommand:
         assert status == 0
         assert len(lengths) > 100
         assert np.min(np.abs(np.array(lengths) - MARGINAL_EPS)) > 3e-16
+
+    def test_failing_check_sets_summary_and_exit_status(self, monkeypatch, capsys):
+        # An integrator with a fifth of the steps misses section [a]'s 1e-8
+        # tolerance; every other check must still pass.
+        integrate = dynamics.integrate
+        monkeypatch.setattr(dynamics, "integrate", lambda p, t_max, steps: integrate(p, t_max, steps=steps // 5))
+        report, status = run_validation(sample_count=2, seed=5)
+        lines = report.splitlines()
+        failed = [i for i, line in enumerate(lines) if line.endswith("-> FAIL")]
+        assert len(failed) == 1
+        section = [line for line in lines[: failed[0]] if line.startswith("[")][-1]
+        assert section.startswith("[a]")
+        assert "worst dev = 4.025178e-07" in lines[failed[0]]
+        assert "summary: 13 required checks, 1 failed" in lines
+        assert lines[-1] == "exit status: 1"
+        assert status == 1
+        assert main(["validate", "--samples", "1"]) == 1
+        assert capsys.readouterr().out.endswith("exit status: 1\n")
+
+    def test_single_sample_has_no_grid_state(self):
+        report, status = run_validation(sample_count=1, seed=1)
+        assert "random states (1, 0 via grid search)" in report
+        assert "grid dev = 0.000000e+00" in report
+        assert status == 0
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(InvalidConfig):
