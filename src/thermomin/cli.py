@@ -270,7 +270,7 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     pairs = ((0.1, 0.3), (0.1, 1.0), (0.5, 0.5), (1.0, 0.3), (1.0, 1.0))
     states = np.array([dynamics.analytic_states(dynamics.ModelParams(n=n, r=r), times) for n, r in pairs])
     rep = measures.evaluate_measures(states, measures.WeakStrength(1.0))
-    c_x = np.reshape([measures.concurrence_xstate(rho) for rho in states.reshape(-1, 4, 4)], rep.C.shape)
+    c_x = measures.concurrence_xstate(states)
     r23 = np.abs(states[..., 1, 2])
     dev = max(float(np.max(np.abs(a - b))) for a, b in ((c_x, rep.C), (2.0 * r23**2, rep.N2), (2.0 * r23, rep.N1)))
     record(dev <= 1e-10, f"x-state shortcuts vs general routes (60 samples): max dev = {dev:.6e} (tol 1.0e-10)")

@@ -21,6 +21,9 @@ INTEGRATOR_ORDER = 5
 SUDDEN_DEATH_HORIZON = 50.0
 SUDDEN_DEATH_XTOL = 1e-9
 
+# Stored states advanced per batched product of step powers in integrate.
+_BLOCK = 50
+
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -188,7 +191,11 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     propagator instead of an independent check of the first.
 
     steps is the number of steps taken (default 100 per unit of scaled
-    time); there is no substepping. Every stored state is symmetrized and
+    time); there is no substepping. The step matrix S and its powers S^2,
+    ..., S^50 are formed once, and the trajectory advances 50 stored states
+    at a time, as one batched product of those powers with the last stored
+    state; in exact arithmetic each stored state is still one Taylor step
+    from the one before it. Every stored state is symmetrized and
     trace renormalized, and checked against the integrator positivity
     slack: a state with an eigenvalue below -1e-8, or with an entry that is
     not finite, raises StepTooLarge naming the first such step. The check
@@ -206,13 +213,19 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     times = np.linspace(0.0, t_max, steps + 1)
     states = np.empty((steps + 1, 4, 4), dtype=complex)
     states[0] = initial_state(p)
-    # A step far too large can overflow before the check; the check below
-    # reports it as StepTooLarge, not as a floating-point warning.
+    # A step far too large can overflow, in its powers or in the states,
+    # before the check; the check below reports it as StepTooLarge, not as
+    # a floating-point warning.
     with np.errstate(all="ignore"):
-        for k in range(1, steps + 1):
-            rho = (step @ states[k - 1].reshape(-1)).reshape(4, 4)
-            rho = 0.5 * (rho + rho.conj().T)
-            states[k] = rho / np.trace(rho).real
+        powers = np.empty((min(_BLOCK, steps), 16, 16), dtype=complex)
+        powers[0] = step
+        for j in range(1, len(powers)):
+            powers[j] = step @ powers[j - 1]
+        for k in range(0, steps, len(powers)):
+            m = min(len(powers), steps - k)
+            block = (powers[:m] @ states[k].reshape(-1)).reshape(m, 4, 4)
+            block = 0.5 * (block + block.conj().swapaxes(-1, -2))
+            states[k + 1 : k + 1 + m] = block / np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
     _check_steps(states[1:], times[1:])
     return Trajectory(times=times, states=states)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import SIGMA_Y, BlochRep, _bloch, hermitian_eigensystem, matrix_sqrt_psd, validate_state
+from .qstate import SIGMA_Y, BlochRep, _bloch, _raise_first, hermitian_eigensystem, matrix_sqrt_psd, validate_state
 
 # Below this Bloch-vector norm |x| (the eigenvalue gap) subsystem a's marginal
 # counts as degenerate and the measurement direction becomes a free variable:
@@ -29,6 +29,10 @@ MARGINAL_EPS = 1e-9
 X_STRUCTURE_TOL = 1e-12
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
+
+# Entries that vanish in an X state: all but the diagonal and the (2,3) pair.
+_OFF_X = ~np.eye(4, dtype=bool)
+_OFF_X[1, 2] = _OFF_X[2, 1] = False
 
 
 class NotXState(ValueError):
@@ -124,17 +128,19 @@ def _concurrence(rho: np.ndarray) -> np.ndarray:
     return np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
 
 
-def concurrence_xstate(rho) -> float:
-    """Concurrence shortcut for states with only diagonal and (2,3) entries."""
+def concurrence_xstate(rho):
+    """Concurrence shortcut for states with only diagonal and (2,3) entries.
+
+    2 max(0, |rho23| - sqrt(rho11 rho44)) for one state or a (..., 4, 4)
+    stack; raises NotXState naming the first state, for a stack by its
+    index, with an off-structure entry beyond X_STRUCTURE_TOL.
+    """
     rho = validate_state(rho)
-    mask = np.ones((4, 4), dtype=bool)
-    mask[range(4), range(4)] = False
-    mask[1, 2] = mask[2, 1] = False
-    worst = float(np.max(np.abs(rho[mask])))
-    if worst > X_STRUCTURE_TOL:
-        raise NotXState(f"off-structure entry magnitude {worst:.3e} exceeds {X_STRUCTURE_TOL:.0e}")
-    geo = math.sqrt(max(rho[0, 0].real * rho[3, 3].real, 0.0))
-    return 2.0 * max(0.0, abs(rho[1, 2]) - geo)
+    worst = np.abs(rho[..., _OFF_X]).max(axis=-1)
+    message = f"off-structure entry magnitude {{:.3e}} exceeds {X_STRUCTURE_TOL:.0e}"
+    _raise_first(worst > X_STRUCTURE_TOL, NotXState, message, worst)
+    geo = np.sqrt(np.maximum(rho[..., 0, 0].real * rho[..., 3, 3].real, 0.0))
+    return _out(2.0 * np.maximum(0.0, np.abs(rho[..., 1, 2]) - geo))
 
 
 def hs_min(rho):

@@ -15,13 +15,14 @@ from thermomin import (
     bloch_decompose,
     canonicalize_correlations,
     concurrence,
+    concurrence_xstate,
     evaluate_measures,
     hs_min,
     partial_trace,
     trace_min,
     validate_state,
 )
-from thermomin.measures import MARGINAL_EPS
+from thermomin.measures import MARGINAL_EPS, NotXState
 
 from _helpers import bell_diagonal_state, ginibre_state, random_qubit_unitary
 
@@ -90,6 +91,37 @@ def test_stack_matches_entries_bitwise(measure, shape):
         assert isinstance(single, float) if shape == () else single.shape == shape
         assert np.array_equal(values[i], single), i
     np.testing.assert_array_equal(measure(stack.reshape(2, -1, 4, 4)), values.reshape(2, -1, *shape))
+
+
+def xstate_stack():
+    """Exact trajectories through sudden death, plus the separable r = 0 start."""
+    times = np.linspace(0.0, 3.0, 7)
+    pairs = ((0.0, 1.0), (0.1, 0.3), (0.5, 0.9), (1.0, 0.0), (2.0, 0.6))
+    return np.concatenate([analytic_states(ModelParams(n=n, r=r), times) for n, r in pairs])
+
+
+def test_concurrence_xstate_stack_matches_entries_bitwise():
+    stack = xstate_stack()
+    values = concurrence_xstate(stack)
+    assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+    assert (values > 0.0).any() and (values == 0.0).any()
+    for i, rho in enumerate(stack):
+        single = concurrence_xstate(rho)
+        assert isinstance(single, float)
+        assert values[i] == single, i
+    np.testing.assert_array_equal(concurrence_xstate(stack.reshape(5, 7, 4, 4)), values.reshape(5, 7))
+
+
+def test_concurrence_xstate_stack_names_the_non_xstate():
+    rng = np.random.default_rng(8)
+    stack = xstate_stack()
+    for i in (3, 5):
+        stack[i] = 0.999 * stack[i] + 0.001 * ginibre_state(rng)
+    with pytest.raises(NotXState, match=r"^state 3: off-structure entry magnitude"):
+        concurrence_xstate(stack)
+    with pytest.raises(NotXState) as single:
+        concurrence_xstate(stack[3])
+    assert not str(single.value).startswith("state")
 
 
 def test_evaluate_measures_and_bloch_stacks_match_entries_bitwise():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from thermomin import (
     trace_min,
     validate_state,
 )
+from thermomin.dynamics import _rhs_superoperator, _taylor_step
 
 from _helpers import ginibre_state
 
@@ -132,7 +135,7 @@ class TestIntegrate:
             worst = max(worst, np.max(np.abs(rho - analytic_state_at(p, t))))
         assert worst <= 1e-8
 
-    def test_fourth_order_convergence(self):
+    def test_fifth_order_convergence(self):
         """Pins the integrator's design order, which is five.
 
         Halving the step must cut the error by about 2^5 = 32. The band's
@@ -175,15 +178,47 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(p, 1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [1, 49, 50, 51, 120, 5000])
+    def test_blocks_match_step_by_step_stepping(self, steps):
+        """Each stored state is one Taylor step from the one before it.
+
+        The step counts cover one step, a block boundary at 50 stored
+        states from either side and a short last block.
+        """
+        p = ModelParams(n=0.7, r=0.6)
+        t_max = steps / 100.0
+        step = _taylor_step(t_max / steps * _rhs_superoperator(p) / p.gamma)
+        rho = initial_state(p)
+        expected = [rho]
+        for _ in range(steps):
+            rho = (step @ rho.reshape(-1)).reshape(4, 4)
+            rho = 0.5 * (rho + rho.conj().T)
+            rho = rho / np.trace(rho).real
+            expected.append(rho)
+        traj = integrate(p, t_max, steps=steps)
+        assert np.max(np.abs(traj.states - np.array(expected))) <= 1e-14
+
     def test_giant_step_fails_loudly(self):
         with pytest.raises(StepTooLarge):
             integrate(ModelParams(n=1.0, r=1.0), 5.0, steps=1)
 
+    @pytest.mark.parametrize("steps", [2, 50, 51, 120])
+    def test_overflowing_step_powers_fail_without_warning(self, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepTooLarge):
+                integrate(ModelParams(n=1.0, r=1.0), 1e6, steps=steps)
+
     def test_first_failing_step_is_named(self):
-        # Steps 1-6 pass the positivity check; the states computed after
-        # step 7 in the same checked block must not hide it.
+        # Steps 1-6 pass the positivity check; the states stored after
+        # step 7 in the same batched check must not hide it.
         with pytest.raises(StepTooLarge, match=r"gamma\*t = 2\.310000 has eigenvalue -1\.417e-02"):
             integrate(ModelParams(n=2.0, r=0.5), 660.0, steps=2000)
+
+    def test_first_failing_step_past_the_first_block_is_named(self):
+        # Step 273 lies in the sixth block of 50 stored states.
+        with pytest.raises(StepTooLarge, match=r"gamma\*t = 62\.790000 has eigenvalue -5\.758e-04"):
+            integrate(ModelParams(n=3.0, r=0.5), 92.0, steps=400)
 
 
 class TestSuddenDeath:
