@@ -48,8 +48,8 @@ class SweepConfig:
             raise InvalidConfig("n, r and x value lists must be non-empty")
         if self.t_steps < 2:
             raise InvalidConfig(f"steps must be >= 2, got {self.t_steps}")
-        if not (self.t_max > 0.0):
-            raise InvalidConfig(f"t-max must be > 0, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise InvalidConfig(f"t-max must be finite and > 0, got {self.t_max}")
         if any(n < 0.0 for n in self.n_values):
             raise InvalidConfig("all n values must be >= 0")
         if any(not (0.0 <= r <= 1.0) for r in self.r_values):
@@ -60,13 +60,14 @@ class SweepConfig:
             raise InvalidConfig("an output path is required (--out)")
 
 
-def _fmt(value: float) -> str:
-    # +0.0 normalizes negative zero so output bytes are stable.
-    return f"{float(value) + 0.0:.12g}"
+def _cells(*columns, end: str = ","):
+    """Each row of the 1-d columns as "%.12g" cells then end; + 0.0 writes a negative zero as 0."""
+    row_format = ",".join(["%.12g"] * len(columns)) + end
+    return [row_format % tuple(row) for row in (np.column_stack(columns) + 0.0).tolist()]
 
 
-def _write_rows(path: str, header: str, rows):
-    text = header + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+def _write_rows(path: str, header: str, lines):
+    text = header + "\n" + "".join(lines)
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
@@ -94,24 +95,29 @@ def _states_on_grid(p: dynamics.ModelParams, t_max: float, t_steps: int, integra
 def run_time_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
     """Write n,r,gamma_t,C,N2,N1 rows ordered by (n, r, gamma_t); returns row count."""
     cfg.validate()
-    rows = []
+    trajectories = []
     for n in sorted(cfg.n_values):
         for r in sorted(cfg.r_values):
             p = dynamics.ModelParams(n=n, r=r)
             times, states = _states_on_grid(p, cfg.t_max, cfg.t_steps, integrator)
             # One validated pass over the trajectory; the weak columns are not written.
             rep = measures.evaluate_measures(states, measures.WeakStrength(0.0))
-            columns = (times.tolist(), rep.C.tolist(), rep.N2.tolist(), rep.N1.tolist())
-            rows.extend((n, r, *values) for values in zip(*columns))
-    _write_rows(cfg.output_path, "n,r,gamma_t,C,N2,N1", rows)
-    return len(rows)
+            trajectories.append((n, r, times, rep))
+    # Formatting between trajectories measurably slows the next evaluation, so it comes last.
+    lines = []
+    for n, r, times, rep in trajectories:
+        head = _cells([n], [r])[0]
+        lines.extend(head + cells for cells in _cells(times, rep.C, rep.N2, rep.N1, end="\n"))
+    _write_rows(cfg.output_path, "n,r,gamma_t,C,N2,N1", lines)
+    return len(lines)
 
 
 def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
     """Write x,gamma_t,N2,N1,N2W,N1W rows ordered by (x, gamma_t); returns row count.
 
     Requires exactly one n and one r value; the weak values scale the
-    projective ones by (1 - t1*t2) at each strength.
+    projective ones by (1 - t1*t2) at each strength. The gamma_t, N2 and
+    N1 cells are formatted once and shared by every strength.
     """
     cfg.validate()
     if len(cfg.n_values) != 1 or len(cfg.r_values) != 1:
@@ -121,14 +127,14 @@ def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
     # Two calls validate the trajectory twice, which costs less than the
     # concurrence that evaluate_measures would compute and this sweep drops.
     n2s, n1s = measures.hs_min(states), measures.trace_min(states)
-    projective = list(zip(times.tolist(), n2s.tolist(), n1s.tolist()))
-    rows = []
+    projective = _cells(times, n2s, n1s)
+    lines = []
     for x in sorted(cfg.x_values):
         f = measures.weak_factor(measures.WeakStrength(x))
-        for t, n2, n1 in projective:
-            rows.append((x, t, n2, n1, f * n2, f * n1))
-    _write_rows(cfg.output_path, "x,gamma_t,N2,N1,N2W,N1W", rows)
-    return len(rows)
+        head = _cells([x])[0]
+        lines.extend(head + cells + weak for cells, weak in zip(projective, _cells(f * n2s, f * n1s, end="\n")))
+    _write_rows(cfg.output_path, "x,gamma_t,N2,N1,N2W,N1W", lines)
+    return len(lines)
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +470,7 @@ def main(argv=None) -> int:
         )
         print(report, end="")
         return status
-    except (InvalidConfig, IoFailure, ValueError) as exc:
+    except (InvalidConfig, IoFailure, ValueError, dynamics.StepTooLarge, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermomin import bloch_decompose, dynamics, oracle
+from thermomin import (
+    ModelParams,
+    WeakStrength,
+    analytic_states,
+    bloch_decompose,
+    dynamics,
+    evaluate_measures,
+    hs_min,
+    oracle,
+    trace_min,
+    weak_factor,
+)
 from thermomin.cli import (
     InvalidConfig,
     IoFailure,
     SweepConfig,
+    _cells,
     main,
     run_strength_sweep,
     run_time_sweep,
@@ -20,6 +33,11 @@ from thermomin.measures import MARGINAL_EPS
 
 # The package's source directory; pytest's pythonpath setting does not reach a subprocess.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def reference_line(values):
+    """One CSV line formatted value by value, the format the sweeps promise."""
+    return ",".join(f"{v + 0.0:.12g}" for v in values) + "\n"
 
 
 def read_csv(path):
@@ -112,6 +130,8 @@ class TestTimeSweep:
             run_time_sweep(SweepConfig(n_values=[-0.5], output_path=out))
         with pytest.raises(InvalidConfig):
             run_time_sweep(SweepConfig(output_path=""))
+        with pytest.raises(InvalidConfig, match="t-max"):
+            run_time_sweep(SweepConfig(t_max=math.inf, output_path=out))
         with pytest.raises(InvalidConfig):
             run_time_sweep(SweepConfig(output_path=out), integrator="verlet")
 
@@ -153,6 +173,57 @@ class TestStrengthSweep:
         cfg = SweepConfig(n_values=[0.1, 0.5], output_path=str(tmp_path / "s.csv"))
         with pytest.raises(InvalidConfig):
             run_strength_sweep(cfg)
+
+
+class TestCsvFormat:
+    def test_cells_match_per_value_format(self):
+        rng = np.random.default_rng(11)
+        edges = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300]
+        edges += [3.0, -7.0, 1e12, 123456789012345.0]
+        # One ulp either side of decimal ties at the 12th significant digit.
+        for tie in (1.000000000005, 0.1234567890125, 98765.43210985):
+            edges += [np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)]
+        values = np.concatenate([edges, rng.normal(scale=1e3, size=61), rng.uniform(0.0, 1.0, size=61)])
+        table = rng.permutation(values).reshape(-1, 3)
+        assert _cells(*table.T, end="\n") == [reference_line(row) for row in table]
+        assert _cells(values) == [f"{v + 0.0:.12g}," for v in values]
+
+    def test_time_sweep_file_matches_reference(self, tmp_path):
+        out = tmp_path / "time.csv"
+        ns, rs, times = [0.0, 0.3], [0.0, 0.7, 1.0], np.linspace(0.0, 4.0, 17)
+        cfg = SweepConfig(n_values=ns, r_values=rs, t_max=4.0, t_steps=17, output_path=str(out))
+        run_time_sweep(cfg)
+        expected = ["n,r,gamma_t,C,N2,N1\n"]
+        for n in ns:
+            for r in rs:
+                rep = evaluate_measures(analytic_states(ModelParams(n=n, r=r), times), WeakStrength(0.0))
+                expected += [reference_line((n, r, *row)) for row in zip(times, rep.C, rep.N2, rep.N1)]
+        assert out.read_text(encoding="ascii") == "".join(expected)
+
+    def test_strength_sweep_file_matches_reference(self, tmp_path):
+        out = tmp_path / "strength.csv"
+        xs, times = [0.0, 0.25, 2.0, 30.0], np.linspace(0.0, 3.0, 13)
+        cfg = SweepConfig(
+            n_values=[0.4], r_values=[0.9], x_values=xs[::-1], t_max=3.0, t_steps=13, output_path=str(out)
+        )
+        run_strength_sweep(cfg)
+        states = analytic_states(ModelParams(n=0.4, r=0.9), times)
+        n2s, n1s = hs_min(states).tolist(), trace_min(states).tolist()
+        expected = ["x,gamma_t,N2,N1,N2W,N1W\n"]
+        for x in xs:
+            f = weak_factor(WeakStrength(x))
+            expected += [reference_line((x, t, n2, n1, f * n2, f * n1)) for t, n2, n1 in zip(times, n2s, n1s)]
+        assert out.read_text(encoding="ascii") == "".join(expected)
+
+    def test_negative_zero_written_as_zero(self, tmp_path):
+        out = tmp_path / "zero.csv"
+        assert main(["sweep-strength", "--x=-0.0,1", "--steps", "3", "--out", str(out)]) == 0
+        cells = [line.split(",") for line in out.read_text(encoding="ascii").splitlines()[1:]]
+        assert [row[0] for row in cells] == ["0"] * 3 + ["1"] * 3
+        assert main(["sweep-time", "--n=-0.0", "--r=-0.0,0", "--steps", "3", "--out", str(out)]) == 0
+        cells = [line.split(",") for line in out.read_text(encoding="ascii").splitlines()[1:]]
+        assert [row[:2] for row in cells] == [["0", "0"]] * 6
+        assert "-0" not in {cell for row in cells for cell in row}
 
 
 class TestValidateCommand:
@@ -258,11 +329,19 @@ class TestMainEntry:
         _, rows = read_csv(out_file)
         assert rows[-1][2] == 1.0
 
-    def test_bad_flag_values_exit_2(self, tmp_path):
+    def test_bad_flag_values_exit_2(self, tmp_path, capsys):
         assert main(["sweep-time", "--n", "abc", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["sweep-time", "--steps", "1", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["sweep-strength", "--n", "0.1,0.5", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["sweep-time", "--out", str(tmp_path / "no" / "dir.csv")]) == 2
+        assert main(["sweep-time", "--t-max", "inf", "--out", str(tmp_path / "x.csv")]) == 2
+        capsys.readouterr()
+        # A step too large for the integrator, and an n whose (n + 1)^2 overflows.
+        rk4 = ["sweep-time", "--integrator", "rk4", "--n", "200", "--steps", "3"]
+        assert main(rk4 + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: state at gamma*t = 0.010000 has eigenvalue")
+        assert main(["sweep-time", "--n", "1e308", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "subprocess.csv"
