@@ -48,7 +48,8 @@ class ModelParams:
 
     n is the mean thermal photon number (>= 0), r the weight of the
     maximally entangled component in the initial state (in [0, 1]), and
-    gamma the spontaneous emission rate (> 0).
+    gamma the spontaneous emission rate (> 0). n is at most sqrt(float max)/4,
+    about 3.35e153, so that the 4 n^2 terms of the exact solution stay finite.
     """
 
     n: float
@@ -58,8 +59,9 @@ class ModelParams:
     def __post_init__(self):
         if not (self.gamma > 0.0):
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.n >= 0.0):
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        n_max = sqrt(np.finfo(float).max) / 4.0
+        if not (0.0 <= self.n <= n_max):
+            raise ValueError(f"n must lie in [0, {n_max:.6g}], got {self.n}")
         if not (0.0 <= self.r <= 1.0):
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
 
@@ -159,13 +161,8 @@ def lindblad_rhs(p: ModelParams, rho) -> np.ndarray:
 
 
 def _rhs_superoperator(p: ModelParams) -> np.ndarray:
-    """16x16 matrix acting on row-major vectorized states; built from lindblad_rhs by linearity."""
-    sup = np.zeros((16, 16), dtype=complex)
-    for k in range(16):
-        basis = np.zeros((4, 4), dtype=complex)
-        basis[k // 4, k % 4] = 1.0
-        sup[:, k] = lindblad_rhs(p, basis).reshape(-1)
-    return sup
+    """16x16 matrix acting on row-major vectorized states: lindblad_rhs of the 16 basis matrices, by linearity."""
+    return lindblad_rhs(p, np.eye(16, dtype=complex).reshape(16, 4, 4)).reshape(16, 16).T
 
 
 def _taylor_step(a: np.ndarray) -> np.ndarray:
@@ -208,15 +205,15 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     h = t_max / steps
-    # Work in scaled time: d(rho)/d(gamma t) = rhs/gamma.
-    step = _taylor_step(h * _rhs_superoperator(p) / p.gamma)
     times = np.linspace(0.0, t_max, steps + 1)
     states = np.empty((steps + 1, 4, 4), dtype=complex)
     states[0] = initial_state(p)
-    # A step far too large can overflow, in its powers or in the states,
-    # before the check; the check below reports it as StepTooLarge, not as
-    # a floating-point warning.
+    # A step far too large can overflow, in its Taylor terms, its powers or
+    # in the states, before the check; the check below reports it as
+    # StepTooLarge, not as a floating-point warning.
     with np.errstate(all="ignore"):
+        # Work in scaled time: d(rho)/d(gamma t) = rhs/gamma.
+        step = _taylor_step(h * _rhs_superoperator(p) / p.gamma)
         powers = np.empty((min(_BLOCK, steps), 16, 16), dtype=complex)
         powers[0] = step
         for j in range(1, len(powers)):

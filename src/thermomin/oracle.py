@@ -4,13 +4,16 @@ Post-measurement states are the Kraus map K+ rho K+ + K- rho K- on
 subsystem a, summed as 2 a^2 rho + 2 b^2 S rho S with S = (m.sigma) x I:
 the same operator sum with its exactly cancelling cross terms left out
 (see ``_post_states``), so still the definition, not a closed formula.
+The map is one product of state terms (rho and its nine Pauli sandwiches,
+scaled by the pair's coefficients) with direction columns (1 and m_k m_l).
 The values are maximized over measurement directions by definition.
 
 Each direction's disturbance D = rho - Omega(rho) is formed explicitly
-from that Kraus map as a 4x4 matrix. Its Hilbert-Schmidt norm is the sum
-of its squared entries. Its trace norm comes from the 2x2 block that D
-holds between the two eigenvectors of m.sigma, which are written down
-from m: S D S = -D makes D block off-diagonal in that basis (see
+as a 4x4 matrix by the same product, with the state terms scaled by the
+coefficients of the identity minus the map. Its Hilbert-Schmidt norm is
+the sum of its squared entries. Its trace norm comes from the 2x2 block
+that D holds between the two eigenvectors of m.sigma, with weights in
+closed form in m: S D S = -D makes D block off-diagonal in that basis (see
 ``_trace_norms``), and on seeded states the block norm matches the sum of
 |eigenvalues| of D to 1.1e-15. So the oracle takes no matrix spectrum at
 all and shares no solver with ``measures``; the cross-check rests on two
@@ -115,19 +118,15 @@ def _direction_batch(thetas, phis):
     return tt, pp, ms
 
 
-def _kraus_rows(rho, t1: float, t2: float, disturbance: bool = False):
-    """The map of _post_states, or rho minus it when disturbance is set, as a
-    function of the directions ms (shape (k, 3)) that returns (k, 16) rows."""
-    a2, b2 = 0.5 * (t1 + t2) ** 2, 0.5 * (t1 - t2) ** 2
-    c_rho, c_s = (1.0 - a2, -b2) if disturbance else (a2, b2)
-    left = _LIFTED_PAULIS @ rho
-    terms = np.concatenate([rho[None], (left[:, None] @ _LIFTED_PAULIS).reshape(9, 4, 4)]).reshape(10, 16).view(float)
+def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
+    """The (10, 32) real view of [c_rho rho; c_s (sigma_k x I) rho (sigma_l x I)]: the Kraus map's state half."""
+    sandwiches = ((_LIFTED_PAULIS @ rho)[:, None] @ _LIFTED_PAULIS).reshape(9, 16)
+    return np.concatenate([c_rho * rho.reshape(1, 16), c_s * sandwiches]).view(float)
 
-    def rows(ms):
-        coef = np.hstack([np.full((len(ms), 1), c_rho), (c_s * ms[:, :, None] * ms[:, None, :]).reshape(-1, 9)])
-        return (coef @ terms).view(complex)
 
-    return rows
+def _kraus_columns(ms) -> np.ndarray:
+    """The (k, 10) rows [1, m_k m_l] of the unit directions ms (shape (k, 3)): the Kraus map's direction half."""
+    return np.vstack([np.ones((1, len(ms))), (ms.T[:, None] * ms.T[None]).reshape(9, -1)]).T
 
 
 def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
@@ -142,7 +141,8 @@ def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
     m_k m_l (sigma_k x I) rho (sigma_l x I). The nine sandwiches are formed
     once; all directions then take one real (k, 10) @ (10, 32) product.
     """
-    return _kraus_rows(rho, t1, t2)(ms).reshape(-1, 4, 4)
+    terms = _kraus_terms(rho, 0.5 * (t1 + t2) ** 2, 0.5 * (t1 - t2) ** 2)
+    return (_kraus_columns(ms) @ terms).view(complex).reshape(-1, 4, 4)
 
 
 def _trace_norms(deltas, ms) -> np.ndarray:
@@ -153,19 +153,18 @@ def _trace_norms(deltas, ms) -> np.ndarray:
     [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I); its
     eigenvalues are +-s1, +-s2, the singular values of B, and
     |D|_1 = 2 (s1 + s2) = 2 sqrt(|B|_F^2 + 2 |det B|).
-    The eigenvectors are those of n.sigma for n = m or -m, whichever has
-    n_z >= 0: u+ = (c, w) and u- = (-conj w, c) with c = 1 + n_z >= 1 and
-    w = n_x + i n_y, each of squared length 2c, so no pole divides by zero.
-    For n = -m the pair comes out swapped, which turns B into B^+ and leaves
-    the norm unchanged.
+    The eigenvectors are those of n.sigma for n = s m, with s = -1 if
+    m_z < 0 and +1 otherwise: u+ = (c, w) and u- = (-conj w, c) with
+    c = 1 + n_z >= 1 and w = n_x + i n_y, each of squared length 2c, so no
+    pole divides by zero. For n = -m the pair comes out swapped, which turns
+    B into B^+ and leaves the norm unchanged. B_bb' sums conj(u+_a) u-_a'
+    D_(ab),(a'b') / 2c over a, a', with weights for aa' = 00, 01, 10, 11 of
+    (-conj w c, c^2, -conj w^2, conj w c) / 2c = (-conj w, c, -conj w^2 / c, conj w) / 2.
     """
-    n = np.where(ms[:, 2:] < 0.0, -ms, ms)
-    c = 1.0 + n[:, 2]
-    w = n[:, 0] + 1j * n[:, 1]
-    up = np.stack([c, w], axis=1)
-    um = np.stack([-w.conj(), c], axis=1)
-    # B_bb' = sum over a, a' of conj(u+_a) u-_a' D_(ab),(a'b') / 2c.
-    coef = (up.conj()[:, :, None] * um[:, None, :]).reshape(-1, 1, 4) / (2.0 * c)[:, None, None]
+    s = np.where(ms[:, 2] < 0.0, -1.0, 1.0)
+    c = 1.0 + s * ms[:, 2]
+    wbar = s * (ms[:, 0] - 1j * ms[:, 1])
+    coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(-1, 1, 4)
     blocks = deltas.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     b = (coef @ blocks).reshape(-1, 4)
     det = b[:, 0] * b[:, 3] - b[:, 1] * b[:, 2]
@@ -205,14 +204,15 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None) -> float:
     if norm not in ("hs", "trace"):
         raise ValueError("norm must be 'hs' or 'trace'")
     rho = validate_state(rho)
-    disturbances = _kraus_rows(rho, *((0.0, 1.0) if w is None else (w.t1, w.t2)), disturbance=True)
+    t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
+    terms = _kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
 
     def values(ms):
         """|rho - post|_2^2 (real^2 + imag^2 of the entries) or |rho - post|_1 per direction."""
         out = np.empty(len(ms))
         for i in range(0, len(ms), _CHUNK):
             part = ms[i : i + _CHUNK]
-            deltas = disturbances(part)
+            deltas = (_kraus_columns(part) @ terms).view(complex)
             out[i : i + _CHUNK] = (
                 np.einsum("ij,ij->i", deltas.view(float), deltas.view(float)) if norm == "hs" else _trace_norms(deltas, part)
             )

@@ -336,12 +336,13 @@ class TestMainEntry:
         assert main(["sweep-time", "--out", str(tmp_path / "no" / "dir.csv")]) == 2
         assert main(["sweep-time", "--t-max", "inf", "--out", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
-        # A step too large for the integrator, and an n whose (n + 1)^2 overflows.
+        # A step too large for the integrator, and values of n outside the float range.
         rk4 = ["sweep-time", "--integrator", "rk4", "--n", "200", "--steps", "3"]
         assert main(rk4 + ["--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: state at gamma*t = 0.010000 has eigenvalue")
-        assert main(["sweep-time", "--n", "1e308", "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        for n in ("1e308", "inf"):
+            assert main(["sweep-time", "--n", n, "--out", str(tmp_path / "x.csv")]) == 2
+            assert capsys.readouterr().err.startswith("error: n")
 
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "subprocess.csv"

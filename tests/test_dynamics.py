@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -37,6 +39,16 @@ class TestModelParams:
             ModelParams(n=0.5, r=1.5)
         with pytest.raises(ValueError):
             ModelParams(n=0.5, r=0.5, gamma=0.0)
+        above = np.nextafter(math.sqrt(sys.float_info.max) / 4.0, math.inf)
+        for n in (math.inf, 1e308, above):
+            with pytest.raises(ValueError, match="^n must"):
+                ModelParams(n=n, r=0.5)
+
+    def test_largest_photon_number_evolves_to_valid_states(self):
+        n = math.sqrt(sys.float_info.max) / 4.0
+        times = np.array([0.0, 1e-155, 1e-154, 1e-153, 1e-3, 1.0, 5.0])
+        for r in (0.0, 0.3, 0.7, 1.0):
+            validate_state(analytic_states(ModelParams(n=n, r=r), times))
 
 
 class TestInitialState:
@@ -125,6 +137,16 @@ class TestLindbladRhs:
             assert abs(np.trace(rhs)) <= 1e-12
             assert np.max(np.abs(rhs - rhs.conj().T)) <= 1e-12
 
+    def test_superoperator_and_stack_match_single_states(self):
+        rng = np.random.default_rng(32)
+        p = ModelParams(n=0.7, r=0.5, gamma=1.3)
+        stack = np.array([ginibre_state(rng) for _ in range(20)])
+        rhs = lindblad_rhs(p, stack)
+        sup = _rhs_superoperator(p)
+        for rho, row in zip(stack, rhs):
+            assert np.array_equal(row, lindblad_rhs(p, rho))
+            assert np.max(np.abs(sup @ rho.reshape(-1) - row.reshape(-1))) <= 1e-14
+
 
 class TestIntegrate:
     def test_matches_analytic_solution(self):
@@ -202,12 +224,17 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge):
             integrate(ModelParams(n=1.0, r=1.0), 5.0, steps=1)
 
-    @pytest.mark.parametrize("steps", [2, 50, 51, 120])
-    def test_overflowing_step_powers_fail_without_warning(self, steps):
+    @pytest.mark.parametrize(
+        "n, t_max, steps",
+        [(1.0, 1e6, 2), (1.0, 1e6, 50), (1.0, 1e6, 51), (1.0, 1e6, 120), (1e100, 1.0, 100)],
+        ids=["2", "50", "51", "120", "n=1e100"],
+    )
+    def test_overflowing_step_powers_fail_without_warning(self, n, t_max, steps):
+        # n = 1e100 overflows already in the Taylor terms of the step.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepTooLarge):
-                integrate(ModelParams(n=1.0, r=1.0), 1e6, steps=steps)
+                integrate(ModelParams(n=n, r=1.0), t_max, steps=steps)
 
     def test_first_failing_step_is_named(self):
         # Steps 1-6 pass the positivity check; the states stored after

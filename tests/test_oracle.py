@@ -20,7 +20,15 @@ from thermomin import (
 )
 from thermomin import oracle
 from thermomin.measures import MARGINAL_EPS
-from thermomin.oracle import _coarse_grid, _direction_batch, _kraus_rows, _marginal_direction, _post_states, _trace_norms
+from thermomin.oracle import (
+    _coarse_grid,
+    _direction_batch,
+    _kraus_columns,
+    _kraus_terms,
+    _marginal_direction,
+    _post_states,
+    _trace_norms,
+)
 
 from _helpers import ID2, SX, SY, SZ, bell_diagonal_state, bell_phi_plus, ginibre_state, random_qubit_unitary
 
@@ -245,13 +253,19 @@ class TestTraceNormBlock:
         rng = np.random.default_rng(55)
         return [ginibre_state(rng) if k % 2 == 0 else degenerate_marginal_state(rng) for k in range(12)]
 
+    @staticmethod
+    def disturbances(rho, t1, t2, ms):
+        """(k, 16) rows rho - Omega(rho), as the grid search forms them."""
+        terms = _kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+        return (_kraus_columns(ms) @ terms).view(complex)
+
     @pytest.mark.parametrize("x", STRENGTHS, ids=lambda x: "projective" if x is None else f"x={x}")
     def test_disturbance_anticommutes_with_the_measured_operator(self, x):
         t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
         ms = self.directions()
         lifted = np.kron(np.einsum("kp,pij->kij", ms, np.array([SX, SY, SZ])), ID2)
         for rho in self.states():
-            d = _kraus_rows(rho, t1, t2, disturbance=True)(ms).reshape(-1, 4, 4)
+            d = self.disturbances(rho, t1, t2, ms).reshape(-1, 4, 4)
             assert np.max(np.abs(d + lifted @ d @ lifted)) <= 1e-15
 
     @pytest.mark.parametrize("x", STRENGTHS, ids=lambda x: "projective" if x is None else f"x={x}")
@@ -259,7 +273,7 @@ class TestTraceNormBlock:
         t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
         ms = self.directions()
         for rho in self.states():
-            rows = _kraus_rows(rho, t1, t2, disturbance=True)(ms)
+            rows = self.disturbances(rho, t1, t2, ms)
             literal = np.abs(np.linalg.eigvalsh(rows.reshape(-1, 4, 4))).sum(axis=1)
             assert np.max(np.abs(_trace_norms(rows, ms) - literal)) <= 1e-14
 
@@ -286,6 +300,21 @@ def test_coarse_grid_is_built_once_and_read_only():
     for a, b in zip(cached, fresh):
         assert a.tobytes() == b.tobytes()
         assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("chunk", [7, 30_000])
+def test_grid_values_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    rng = np.random.default_rng(57)
+    states = [degenerate_marginal_state(rng) for _ in range(3)]
+    assert all(_marginal_direction(rho) is None for rho in states)
+
+    def values():
+        w = WeakStrength(0.7)
+        return [(brute_force_hs_min(r), brute_force_trace_min(r), brute_force_weak_min(r, w, "trace")) for r in states]
+
+    default = values()
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    assert values() == default
 
 
 def shifted_bell_state(rng, size):
