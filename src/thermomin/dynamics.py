@@ -195,8 +195,10 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     from the one before it. Every stored state is symmetrized and
     trace renormalized, and checked against the integrator positivity
     slack: a state with an eigenvalue below -1e-8, or with an entry that is
-    not finite, raises StepTooLarge naming the first such step. The check
-    runs as one batched eigenvalue solve over the whole trajectory.
+    not finite, raises StepTooLarge naming the first such step; for a state
+    that is not finite it also names h (2n+1), the step in units of the
+    decay time. The check runs as one batched eigenvalue solve over the
+    whole trajectory.
     """
     if not (t_max > 0.0):
         raise ValueError(f"t_max must be > 0, got {t_max}")
@@ -223,12 +225,14 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
             block = (powers[:m] @ states[k].reshape(-1)).reshape(m, 4, 4)
             block = 0.5 * (block + block.conj().swapaxes(-1, -2))
             states[k + 1 : k + 1 + m] = block / np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
-    _check_steps(states[1:], times[1:])
+    _check_steps(states[1:], times[1:], h * (2.0 * p.n + 1.0))
     return Trajectory(times=times, states=states)
 
 
-def _check_steps(states: np.ndarray, times: np.ndarray):
-    """StepTooLarge at the first of states outside the integrator slack."""
+def _check_steps(states: np.ndarray, times: np.ndarray, decay_step: float):
+    """StepTooLarge at the first of states outside the integrator slack.
+
+    decay_step is h (2n+1), named when the first such state is not finite."""
     # The states before the first non-finite one are solved in place, as a
     # view: a masked copy would double the trajectory's memory.
     finite = np.isfinite(states).all(axis=(1, 2))
@@ -238,6 +242,11 @@ def _check_steps(states: np.ndarray, times: np.ndarray):
     bad = ~(lowest >= INTEGRATOR_PSD_SLACK)
     if bad.any():
         k = int(np.argmax(bad))
+        if k == ok:
+            raise StepTooLarge(
+                f"state at gamma*t = {times[k]:.6f} is not finite; "
+                f"the step times the decay scale is h*(2n+1) = {decay_step:.3e}"
+            )
         raise StepTooLarge(
             f"state at gamma*t = {times[k]:.6f} has eigenvalue {lowest[k]:.3e} "
             f"below slack {INTEGRATOR_PSD_SLACK:.0e}; reduce the step size"

@@ -26,7 +26,11 @@ is non-degenerate only the measurement along its Bloch vector x (its
 eigenbasis) qualifies and the value is computed directly; when it is
 degenerate, |x| < MARGINAL_EPS as in ``measures``, every direction
 qualifies and a theta/phi grid search with one local refinement pass
-takes over.
+takes over. Measuring along m and along -m is the same measurement (P1
+and P2 swap, and so do K+ and K-), so the coarse grid covers the upper
+hemisphere only: the full theta/phi grid is closed under antipodes, and
+the half left out repeats the disturbances of the half searched (see
+``_coarse_grid``).
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from .qstate import ID2, PAULIS, validate_state
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
 # Directions per pass of a grid search. The disturbances of the whole
-# 20,000-direction grid take 5 MB, and their temporaries as much again,
-# which set the peak memory of a validate run; a row's value does not
-# depend on the chunk it is computed in.
+# 10,000-direction coarse grid take 2.5 MB, and their temporaries as much
+# again, which set the peak memory of a validate run; a row's value does
+# not depend on the chunk it is computed in.
 _CHUNK = 4000
 
 # sigma_k x I, the Paulis acting on subsystem a.
@@ -126,7 +130,10 @@ def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
 
 def _kraus_columns(ms) -> np.ndarray:
     """The (k, 10) rows [1, m_k m_l] of the unit directions ms (shape (k, 3)): the Kraus map's direction half."""
-    return np.vstack([np.ones((1, len(ms))), (ms.T[:, None] * ms.T[None]).reshape(9, -1)]).T
+    cols = np.empty((len(ms), 10))
+    cols[:, 0] = 1.0
+    np.multiply(ms[:, :, None], ms[:, None, :], out=cols[:, 1:].reshape(-1, 3, 3))
+    return cols
 
 
 def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
@@ -174,10 +181,21 @@ def _trace_norms(deltas, ms) -> np.ndarray:
 
 @functools.cache
 def _coarse_grid():
-    """The GRID_RESOLUTION x 2 GRID_RESOLUTION directions of every grid search,
-    built on first use and kept read-only."""
+    """The coarse directions of every grid search: the upper-hemisphere half of
+    the GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, built on first use
+    and kept read-only.
+
+    Cell (i, j) of the full grid has the antipode (g-1-i, (j+g) mod 2g), equal
+    to -m to within 7.8e-16, so the full grid is closed under antipodes. The
+    direction columns m_k m_l are the same floats for m and -m, and
+    ``_trace_norms`` takes its eigenvectors from n = s m, so a search value at
+    -m equals the one at m bit for bit (no grid direction has m_z = 0, where
+    s would not flip): the theta indices g//2 ... g-1 only repeat the first
+    g//2. The theta = 0 pole stays in, so theta-major argmax tie-breaking is
+    unchanged.
+    """
     g = GRID_RESOLUTION
-    thetas = np.linspace(0.0, math.pi, g)
+    thetas = np.linspace(0.0, math.pi, g)[: g // 2]
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
     grid = _direction_batch(thetas, phis)
     for a in grid:

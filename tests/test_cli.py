@@ -344,6 +344,18 @@ class TestMainEntry:
             assert main(["sweep-time", "--n", n, "--out", str(tmp_path / "x.csv")]) == 2
             assert capsys.readouterr().err.startswith("error: n")
 
+    def test_non_finite_integrator_state_exits_2(self, tmp_path, capsys):
+        # Near the largest accepted n no step count keeps the Taylor step
+        # finite, so the error names the state as not finite instead of
+        # quoting a NaN eigenvalue.
+        argv = ["sweep-time", "--integrator", "rk4", "--n", "3e153", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state at gamma*t = ")
+        assert "not finite" in err
+        assert "h*(2n+1) = " in err
+        assert "eigenvalue" not in err
+
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "subprocess.csv"
         result = subprocess.run(
