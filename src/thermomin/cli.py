@@ -224,8 +224,8 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     # (b) closed forms vs brute force
     lines.append("[b] closed-form measures vs brute-force maximization")
     samples = _trajectory_direct_samples()
-    dev_hs = float(np.max(np.abs(measures.hs_min(samples) - [oracle.brute_force_hs_min(s) for s in samples])))
-    dev_tr = float(np.max(np.abs(measures.trace_min(samples) - [oracle.brute_force_trace_min(s) for s in samples])))
+    dev_hs = float(np.max(np.abs(measures.hs_min(samples) - oracle.brute_force_hs_min(samples))))
+    dev_tr = float(np.max(np.abs(measures.trace_min(samples) - oracle.brute_force_trace_min(samples))))
     record(
         dev_hs <= 1e-9 and dev_tr <= 1e-9,
         f"trajectory samples ({len(samples)}, direct case): hs dev = {dev_hs:.6e}, "
@@ -235,10 +235,10 @@ def run_validation(sample_count: int = 20, seed: int = 7):
         [_random_states(rng, 1)[0] if i % 2 == 0 else _random_degenerate_state(rng) for i in range(sample_count)]
     )
     dev = np.maximum(
-        np.abs(measures.hs_min(states) - [oracle.brute_force_hs_min(rho) for rho in states]),
-        np.abs(measures.trace_min(states) - [oracle.brute_force_trace_min(rho) for rho in states]),
+        np.abs(measures.hs_min(states) - oracle.brute_force_hs_min(states)),
+        np.abs(measures.trace_min(states) - oracle.brute_force_trace_min(states)),
     )
-    grid = np.array([oracle._marginal_direction(rho) is None for rho in states])
+    grid = oracle._marginal_direction(states)[1]
     dev_direct = float(dev[~grid].max(initial=0.0))
     dev_grid = float(dev[grid].max(initial=0.0))
     record(
@@ -254,14 +254,19 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     dev = float(np.max(np.abs(qstate.bloch_compose(qstate.bloch_decompose(states)) - states)))
     record(dev <= 1e-12, f"bloch round trip (100 states): max dev = {dev:.6e} (tol 1.0e-12)")
 
-    dev = 0.0
+    # Drawn one matrix at a time, in the report's seeded order, then solved
+    # as one stack per dimension.
+    drawn = []
     for _ in range(100):
         dim = int(rng.integers(2, 5))
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = 0.5 * (g + g.conj().T)
+        drawn.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    dev = 0.0
+    for dim in sorted({len(m) for m in drawn}):
+        g = np.array([m for m in drawn if len(m) == dim])
+        h = 0.5 * (g + g.conj().swapaxes(-1, -2))
         evals, vecs = qstate.hermitian_eigensystem(h)
-        dev = max(dev, float(np.max(np.abs((vecs * evals) @ vecs.conj().T - h))))
-        dev = max(dev, float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim)))))
+        dev = max(dev, float(np.max(np.abs((vecs * evals[:, None, :]) @ vecs.conj().swapaxes(-1, -2) - h))))
+        dev = max(dev, float(np.max(np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - np.eye(dim)))))
     record(dev <= 1e-10, f"eigensystem reconstruction (100 matrices): max dev = {dev:.6e} (tol 1.0e-10)")
 
     states = _random_states(rng, 50)

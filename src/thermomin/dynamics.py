@@ -20,6 +20,10 @@ DEFAULT_STEPS_PER_UNIT_TIME = 100
 INTEGRATOR_ORDER = 5
 SUDDEN_DEATH_HORIZON = 50.0
 SUDDEN_DEATH_XTOL = 1e-9
+# Largest step count integrate accepts: it stores every step's 4x4 state,
+# 256 bytes, so this bounds the trajectory at 256 MB (gamma*t up to 10^4 at
+# the default step density).
+MAX_STEPS = 1_000_000
 
 # Stored states advanced per batched product of step powers in integrate.
 _BLOCK = 50
@@ -188,8 +192,9 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     propagator instead of an independent check of the first.
 
     steps is the number of steps taken (default 100 per unit of scaled
-    time); there is no substepping. The step matrix S and its powers S^2,
-    ..., S^50 are formed once, and the trajectory advances 50 stored states
+    time), at most MAX_STEPS, which is checked before the trajectory is
+    allocated; there is no substepping. The step matrix S and its powers
+    S^2, ..., S^50 are formed once, and the trajectory advances 50 stored states
     at a time, as one batched product of those powers with the last stored
     state; in exact arithmetic each stored state is still one Taylor step
     from the one before it. Every stored state is symmetrized and
@@ -204,8 +209,8 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
         raise ValueError(f"t_max must be > 0, got {t_max}")
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_max))
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (1 <= steps <= MAX_STEPS):
+        raise ValueError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     h = t_max / steps
     times = np.linspace(0.0, t_max, steps + 1)
     states = np.empty((steps + 1, 4, 4), dtype=complex)

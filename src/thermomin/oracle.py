@@ -31,6 +31,16 @@ and P2 swap, and so do K+ and K-), so the coarse grid covers the upper
 hemisphere only: the full theta/phi grid is closed under antipodes, and
 the half left out repeats the disturbances of the half searched (see
 ``_coarse_grid``).
+
+Every ``brute_force_*`` function takes one 4x4 state, for which it returns
+a float, or a (..., 4, 4) stack, for which it returns an array of the
+leading shape, as in ``measures``. The stack is validated once. Its
+non-degenerate states take one batched product, each along its own
+direction. Its degenerate states share one coarse grid search: each pass
+builds its direction columns once and multiplies them with the terms of
+all those states side by side, so ``_CHUNK`` counts the (direction,
+state) pairs of a pass; the refinement passes batch states the same way.
+A state gets bitwise the same value in a stack as alone.
 """
 
 from __future__ import annotations
@@ -41,16 +51,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MARGINAL_EPS, WeakStrength
+from .measures import MARGINAL_EPS, WeakStrength, _out
 from .qstate import ID2, PAULIS, validate_state
 
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
-# Directions per pass of a grid search. The disturbances of the whole
-# 10,000-direction coarse grid take 2.5 MB, and their temporaries as much
-# again, which set the peak memory of a validate run; a row's value does
-# not depend on the chunk it is computed in.
-_CHUNK = 4000
+# (direction, state) pairs per pass of a grid search. A pass's disturbances
+# take 256 KB at 1000 pairs, 32 real entries each, and its trace-norm
+# temporaries about as much again: the tracemalloc peak of a validate call
+# is 1.0 MB, against 1.7 MB at 2000 pairs and 3.5 MB at 4000, with the same
+# call time to within noise from 1000 to 3000 pairs. A state's value does
+# not depend on the pass it is computed in.
+_CHUNK = 1000
 
 # sigma_k x I, the Paulis acting on subsystem a.
 _LIFTED_PAULIS = np.kron(PAULIS, ID2)
@@ -102,30 +114,37 @@ def weak_post_state(rho, d: MeasurementDirection, w: WeakStrength) -> np.ndarray
 
 
 def _marginal_direction(rho):
-    """Unit Bloch vector x/|x| of subsystem a's marginal, x_i = Tr(marg sigma_i), or
-    None when the marginal is degenerate, |x| < MARGINAL_EPS (|x| is its eigenvalue
-    gap): then every direction preserves it and the value needs the grid search."""
-    marg = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
-    x = np.einsum("ij,kji->k", marg, PAULIS).real
-    norm = float(np.linalg.norm(x))
-    return None if norm < MARGINAL_EPS else x / norm
+    """Unit Bloch vectors x/|x| of subsystem a's marginals, x_i = Tr(marg sigma_i), of
+    an (N, 4, 4) stack, and the (N,) mask of degenerate marginals, |x| < MARGINAL_EPS
+    (|x| is the eigenvalue gap): every direction preserves those, and their value
+    needs the grid search. A degenerate state's row is x itself."""
+    marg = np.einsum("...ikjk->...ij", rho.reshape(-1, 2, 2, 2, 2))
+    x = np.einsum("...ij,kji->...k", marg, PAULIS).real
+    # |x| as one dot product per row, the same float for every stack size.
+    norm = np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    degenerate = norm[:, 0] < MARGINAL_EPS
+    return x / np.where(degenerate[:, None], 1.0, norm), degenerate
 
 
 def _direction_batch(thetas, phis):
     """Directions for every (theta, phi) pair, theta-major so that argmax
-    tie-breaking picks the lexicographically smallest pair."""
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.reshape(-1)
-    pp = pp.reshape(-1)
+    tie-breaking picks the lexicographically smallest pair. Leading axes pair
+    up: (S, kt) thetas and (S, kp) phis give S grids of kt kp directions,
+    with angles of shape (S, kt kp) and directions of shape (S, kt kp, 3)."""
+    tt, pp = np.broadcast_arrays(thetas[..., :, None], phis[..., None, :])
+    tt = tt.reshape(tt.shape[:-2] + (-1,))
+    pp = pp.reshape(pp.shape[:-2] + (-1,))
     st = np.sin(tt)
-    ms = np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=1)
+    ms = np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
     return tt, pp, ms
 
 
 def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
-    """The (10, 32) real view of [c_rho rho; c_s (sigma_k x I) rho (sigma_l x I)]: the Kraus map's state half."""
-    sandwiches = ((_LIFTED_PAULIS @ rho)[:, None] @ _LIFTED_PAULIS).reshape(9, 16)
-    return np.concatenate([c_rho * rho.reshape(1, 16), c_s * sandwiches]).view(float)
+    """The (..., 10, 32) real view of [c_rho rho; c_s (sigma_k x I) rho (sigma_l x I)]
+    for a state or a (..., 4, 4) stack: the Kraus map's state half."""
+    lead = rho.shape[:-2]
+    sandwiches = ((_LIFTED_PAULIS @ rho[..., None, :, :])[..., :, None, :, :] @ _LIFTED_PAULIS).reshape(lead + (9, 16))
+    return np.concatenate([c_rho * rho.reshape(lead + (1, 16)), c_s * sandwiches], axis=-2).view(float)
 
 
 def _kraus_columns(ms) -> np.ndarray:
@@ -153,8 +172,10 @@ def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
 
 
 def _trace_norms(deltas, ms) -> np.ndarray:
-    """|D|_1 of each disturbance D (rows of deltas) for its direction in ms, without an eigensolve.
+    """|D|_1 of each disturbance D for its direction in ms (k, 3), without an eigensolve.
 
+    deltas holds the rows of D, (k, 16) or (k, S, 16) for S states measured
+    along the same k directions; the result has the shape (k,) or (k, S).
     D = rho - Omega(rho) = 2 b^2 (rho - S rho S) with S = (m.sigma) x I and
     S^2 = I, so S D S = -D. In the eigenbasis u+, u- of m.sigma, D is then
     [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I); its
@@ -167,16 +188,35 @@ def _trace_norms(deltas, ms) -> np.ndarray:
     B into B^+ and leaves the norm unchanged. B_bb' sums conj(u+_a) u-_a'
     D_(ab),(a'b') / 2c over a, a', with weights for aa' = 00, 01, 10, 11 of
     (-conj w c, c^2, -conj w^2, conj w c) / 2c = (-conj w, c, -conj w^2 / c, conj w) / 2.
+    The weights are formed once per direction and applied to all S states
+    in one (1, 4) @ (4, 4 S) product.
     """
+    k = len(ms)
     s = np.where(ms[:, 2] < 0.0, -1.0, 1.0)
     c = 1.0 + s * ms[:, 2]
     wbar = s * (ms[:, 0] - 1j * ms[:, 1])
-    coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(-1, 1, 4)
-    blocks = deltas.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-    b = (coef @ blocks).reshape(-1, 4)
-    det = b[:, 0] * b[:, 3] - b[:, 1] * b[:, 2]
-    fro = np.einsum("ij,ij->i", b.view(float), b.view(float))
-    return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
+    coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(k, 1, 4)
+    # D_(ab),(a'b') of each state, regrouped as rows aa' and columns (state, bb').
+    blocks = deltas.reshape(k, -1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(k, 4, -1)
+    b = (coef @ blocks).reshape(k, -1, 4)
+    det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
+    fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
+    return (2.0 * np.sqrt(fro + 2.0 * np.abs(det))).reshape(deltas.shape[:-1])
+
+
+def _norms(deltas, ms, norm: str) -> np.ndarray:
+    """|D|_2^2 (real^2 + imag^2 of the entries) or |D|_1 of the (k, S, 16) disturbances, as (k, S)."""
+    if norm == "hs":
+        return np.einsum("...j,...j->...", deltas.view(float), deltas.view(float))
+    return _trace_norms(deltas, ms)
+
+
+def _own_direction_values(terms, ms, norm: str) -> np.ndarray:
+    """Disturbance norms of the S states with (S, 10, 32) terms, each along its
+    own k directions ms (S, k, 3): one batched (S, k, 10) @ (S, 10, 32) product."""
+    cols = _kraus_columns(ms.reshape(-1, 3)).reshape(ms.shape[:-1] + (10,))
+    deltas = (cols @ terms).view(complex).reshape(-1, 1, 16)
+    return _norms(deltas, ms.reshape(-1, 3), norm).reshape(ms.shape[:-1])
 
 
 @functools.cache
@@ -203,61 +243,83 @@ def _coarse_grid():
     return grid
 
 
-def _grid_maximize(values) -> float:
-    """Largest values(ms) over a theta/phi grid plus one refinement pass."""
+def _grid_maximize(terms, norm: str) -> np.ndarray:
+    """Largest disturbance norm of each of the S states with (S, 10, 32) terms
+    over a theta/phi grid plus one refinement pass around its best cell.
+
+    Each coarse pass builds the columns of its directions once and multiplies
+    them with the terms of all S states side by side, (k, 10) @ (10, 32 S);
+    the best value and cell of each state run across the passes, keeping the
+    first cell on ties as one argmax over the whole grid would.
+    """
     g = GRID_RESOLUTION
     tt, pp, ms = _coarse_grid()
-    coarse = values(ms)
-    best = int(np.argmax(coarse))
-    # One refinement pass at 10x resolution around the best cell.
+    count = len(terms)
+    wide = terms.transpose(1, 0, 2).reshape(10, -1)
+    best = np.full(count, -np.inf)
+    cell = np.zeros(count, dtype=int)
+    # A one-direction product would take BLAS's matrix-vector kernel, whose
+    # sums can differ in the last bit from the matrix-matrix kernel's, so the
+    # passes split the grid evenly with at least two directions each.
+    passes = -(-len(ms) // max(2, _CHUNK // count))
+    bounds = [len(ms) * j // passes for j in range(passes + 1)]
+    for i, end in zip(bounds, bounds[1:]):
+        part = ms[i:end]
+        values = _norms((_kraus_columns(part) @ wide).view(complex).reshape(len(part), count, 16), part, norm)
+        top = np.argmax(values, axis=0)
+        top_values = values[top, np.arange(count)]
+        better = top_values > best
+        best[better] = top_values[better]
+        cell[better] = i + top[better]
+    # One refinement pass at 10x resolution around each state's best cell.
     dt = math.pi / (g - 1)
     dp = 2.0 * math.pi / (2 * g)
-    fine_t = np.clip(tt[best] + np.linspace(-dt, dt, 2 * REFINE_FACTOR + 1), 0.0, math.pi)
-    fine_p = (pp[best] + np.linspace(-dp, dp, 2 * REFINE_FACTOR + 1)) % (2.0 * math.pi)
+    fine_t = np.clip(tt[cell, None] + np.linspace(-dt, dt, 2 * REFINE_FACTOR + 1), 0.0, math.pi)
+    fine_p = (pp[cell, None] + np.linspace(-dp, dp, 2 * REFINE_FACTOR + 1)) % (2.0 * math.pi)
     _, _, ms_fine = _direction_batch(fine_t, fine_p)
-    return max(float(coarse[best]), float(values(ms_fine).max()))
+    per_pass = max(1, _CHUNK // ms_fine.shape[1])
+    for i in range(0, count, per_pass):
+        fine = _own_direction_values(terms[i : i + per_pass], ms_fine[i : i + per_pass], norm)
+        np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
+    return best
 
 
-def _brute_force(rho, norm: str, w: WeakStrength | None = None) -> float:
+def _brute_force(rho, norm: str, w: WeakStrength | None = None):
     if norm not in ("hs", "trace"):
         raise ValueError("norm must be 'hs' or 'trace'")
     rho = validate_state(rho)
     t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
-    terms = _kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
-
-    def values(ms):
-        """|rho - post|_2^2 (real^2 + imag^2 of the entries) or |rho - post|_1 per direction."""
-        out = np.empty(len(ms))
-        for i in range(0, len(ms), _CHUNK):
-            part = ms[i : i + _CHUNK]
-            deltas = (_kraus_columns(part) @ terms).view(complex)
-            out[i : i + _CHUNK] = (
-                np.einsum("ij,ij->i", deltas.view(float), deltas.view(float)) if norm == "hs" else _trace_norms(deltas, part)
-            )
-        return out
-
-    m = _marginal_direction(rho)
-    if m is not None:
-        return float(values(m[None])[0])
-    return _grid_maximize(values)
+    flat = rho.reshape(-1, 4, 4)
+    terms = _kraus_terms(flat, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+    ms, degenerate = _marginal_direction(flat)
+    out = np.empty(len(flat))
+    direct = ~degenerate
+    if direct.any():
+        out[direct] = _own_direction_values(terms[direct], ms[direct, None], norm)[:, 0]
+    if degenerate.any():
+        out[degenerate] = _grid_maximize(terms[degenerate], norm)
+    return _out(out.reshape(rho.shape[:-2]))
 
 
-def brute_force_hs_min(rho) -> float:
+def brute_force_hs_min(rho):
     """Definition-level Hilbert-Schmidt nonlocality: max |rho - post|^2 over
-    marginal-preserving projective measurements on subsystem a."""
+    marginal-preserving projective measurements on subsystem a; a float for
+    one state, an array of the leading shape for a (..., 4, 4) stack."""
     return _brute_force(rho, "hs")
 
 
-def brute_force_trace_min(rho) -> float:
-    """Definition-level trace-norm nonlocality over the same measurement set."""
+def brute_force_trace_min(rho):
+    """Definition-level trace-norm nonlocality over the same measurement set,
+    for one state or a stack."""
     return _brute_force(rho, "trace")
 
 
-def brute_force_weak_min(rho, w: WeakStrength, norm: str) -> float:
+def brute_force_weak_min(rho, w: WeakStrength, norm: str):
     """Maximal p-norm disturbance under the weak measurement itself.
 
     Maximizes |rho - Omega(rho)|_p^p over the same marginal-preserving
-    measurement set, with Omega built from the weak operators. Because
+    measurement set, with Omega built from the weak operators, for one
+    state or a stack. Because
     rho - Omega(rho) = (1 - 2 t1 t2) (rho - post_projective), this equals
     (1 - 2 t1 t2)^2 times the projective Hilbert-Schmidt value, or
     (1 - 2 t1 t2) times the projective trace value. Note that this direct

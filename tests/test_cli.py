@@ -259,7 +259,8 @@ class TestValidateCommand:
         marginal_direction = oracle._marginal_direction
 
         def record(rho):
-            lengths.append(float(np.linalg.norm(bloch_decompose(rho).x)))
+            # The oracle classifies a whole (N, 4, 4) stack per call.
+            lengths.extend(np.linalg.norm(bloch_decompose(rho).x, axis=-1))
             return marginal_direction(rho)
 
         monkeypatch.setattr(oracle, "_marginal_direction", record)
@@ -355,6 +356,23 @@ class TestMainEntry:
         assert "not finite" in err
         assert "h*(2n+1) = " in err
         assert "eigenvalue" not in err
+
+    def test_step_count_over_the_bound_exits_2_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # --t-max 1e6 asks the integrator for 10^8 steps, 23.8 GiB of stored
+        # states; the bound must refuse it before any array of that size.
+        empty = np.empty
+
+        def small_empty(shape, *args, **kwargs):
+            assert np.prod(shape) <= 16 * (dynamics.MAX_STEPS + 1), f"np.empty{shape}"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", small_empty)
+        out = tmp_path / "x.csv"
+        argv = ["sweep-time", "--integrator", "rk4", "--n", "1", "--t-max", "1e6", "--steps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps must lie in [1, 1000000], got 100000000")
+        assert not out.exists()
 
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "subprocess.csv"

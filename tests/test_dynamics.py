@@ -20,7 +20,7 @@ from thermomin import (
     trace_min,
     validate_state,
 )
-from thermomin.dynamics import _rhs_superoperator, _taylor_step
+from thermomin.dynamics import MAX_STEPS, _rhs_superoperator, _taylor_step
 
 from _helpers import ginibre_state
 
@@ -199,6 +199,12 @@ class TestIntegrate:
             integrate(p, 0.0, steps=10)
         with pytest.raises(ValueError):
             integrate(p, 1.0, steps=0)
+        # Refused before the trajectory is allocated; the default step count
+        # for a long enough time counts against the same bound.
+        with pytest.raises(ValueError, match=f"got {MAX_STEPS + 1}$"):
+            integrate(p, 1.0, steps=MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="got 100000000$"):
+            integrate(p, 1e6)
 
     @pytest.mark.parametrize("steps", [1, 49, 50, 51, 120, 5000])
     def test_blocks_match_step_by_step_stepping(self, steps):

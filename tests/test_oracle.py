@@ -282,7 +282,7 @@ class TestTraceNormBlock:
             raise AssertionError("eigensolve on the oracle's trace-norm path")
 
         rho = degenerate_marginal_state(np.random.default_rng(56))
-        assert _marginal_direction(rho) is None
+        assert _marginal_direction(rho)[1].all()
         # Validation solves for the smallest eigenvalue by design; it is not
         # on the trace-norm path, so it is bypassed here for the valid state.
         monkeypatch.setattr(oracle, "validate_state", lambda r: r)
@@ -354,7 +354,7 @@ class TestHemisphereGrid:
         # bit for bit; the bound is twice the double-precision epsilon.
         rng = np.random.default_rng(60)
         states = [degenerate_marginal_state(rng) for _ in range(16)]
-        assert all(_marginal_direction(rho) is None for rho in states)
+        assert _marginal_direction(np.array(states))[1].all()
         w = WeakStrength(0.7)
 
         def values():
@@ -368,15 +368,49 @@ class TestHemisphereGrid:
         assert np.max(np.abs(hemisphere - values())) <= 4.4e-16
 
 
-@pytest.mark.parametrize("chunk", [7, 30_000])
+def mixed_stack(rng, count):
+    """(count, 4, 4) stack alternating Ginibre states (direct case) and
+    degenerate-marginal states (grid case)."""
+    return np.array([ginibre_state(rng) if k % 2 else degenerate_marginal_state(rng) for k in range(count)])
+
+
+ORACLES = {
+    "hs": brute_force_hs_min,
+    "trace": brute_force_trace_min,
+    "weak-hs": lambda rho: brute_force_weak_min(rho, WeakStrength(0.7), "hs"),
+    "weak-trace": lambda rho: brute_force_weak_min(rho, WeakStrength(0.7), "trace"),
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+@pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=str)
+def test_stacked_call_equals_single_calls(name, lead):
+    # One coarse pass serves every degenerate state of a stack and one
+    # product every direct one; each value must still be bitwise the float
+    # the state gets alone, as a (4, 4) input of leading shape ().
+    f = ORACLES[name]
+    states = mixed_stack(np.random.default_rng(61), math.prod(lead)).reshape(lead + (4, 4))
+    grid = _marginal_direction(states)[1]
+    assert grid.any() and not grid.all()
+    singles = [f(rho) for rho in states.reshape(-1, 4, 4)]
+    assert all(type(v) is float for v in singles)
+    stacked = f(states)
+    assert stacked.shape == lead
+    assert stacked.reshape(-1).tolist() == singles
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 30_000])
 def test_grid_values_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # _CHUNK counts (direction, state) pairs; chunk 1 and 7 are below the
+    # stack's 8 states, so each coarse pass then takes the fewest directions.
     rng = np.random.default_rng(57)
-    states = [degenerate_marginal_state(rng) for _ in range(3)]
-    assert all(_marginal_direction(rho) is None for rho in states)
+    states = np.array([degenerate_marginal_state(rng) for _ in range(8)])
+    assert _marginal_direction(states)[1].all()
 
     def values():
         w = WeakStrength(0.7)
-        return [(brute_force_hs_min(r), brute_force_trace_min(r), brute_force_weak_min(r, w, "trace")) for r in states]
+        oracles = (brute_force_hs_min, brute_force_trace_min, lambda r: brute_force_weak_min(r, w, "trace"))
+        return [[f(r) for r in states[:3]] + f(states).tolist() for f in oracles]
 
     default = values()
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -434,7 +468,7 @@ class TestNearDegenerateMarginal:
         ops = [np.eye(4), np.kron(SX, ID2), np.kron(SX, SX), np.kron(SY, SY), np.kron(SZ, SZ)]
         rho = sum(c * op for c, op in zip((1.0, size, 0.6, -0.3, 0.2), ops)) / 4.0
         degenerate = size < MARGINAL_EPS
-        assert (_marginal_direction(rho) is None) == degenerate
+        assert _marginal_direction(rho)[1][0] == degenerate
         trace_tt = 0.25 * (0.36 + 0.09 + 0.04)
         assert hs_min(rho) == pytest.approx(trace_tt - (0.01 if degenerate else 0.09), abs=1e-12)
         assert trace_min(rho) == pytest.approx(0.6 if degenerate else 0.3, abs=1e-12)
@@ -469,7 +503,7 @@ class TestBranchBand:
             shift[k] = np.kron(n[0] * SX + n[1] * SY + n[2] * SZ, ID2) / 4.0
         rho = base + (MARGINAL_EPS + side * 2.0 * self.BAND) * shift
         degenerate = side < 0.0
-        assert all((_marginal_direction(r) is None) == degenerate for r in rho)
+        assert np.all(_marginal_direction(rho)[1] == degenerate)
         # The shift leaves the correlations alone, so the closed forms take
         # their degenerate-branch value at x = 0 and their direct-branch value
         # anywhere along the same x/|x|; the branches differ by 5e-6 or more
