@@ -46,8 +46,9 @@ class SweepConfig:
     def validate(self):
         if not self.n_values or not self.r_values or not self.x_values:
             raise InvalidConfig("n, r and x value lists must be non-empty")
-        if self.t_steps < 2:
-            raise InvalidConfig(f"steps must be >= 2, got {self.t_steps}")
+        # Bounded before any array is sized from it, as integrate bounds its steps.
+        if not (2 <= self.t_steps <= dynamics.MAX_STEPS):
+            raise InvalidConfig(f"steps must lie in [2, {dynamics.MAX_STEPS}], got {self.t_steps}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise InvalidConfig(f"t-max must be finite and > 0, got {self.t_max}")
         if any(n < 0.0 for n in self.n_values):

@@ -11,12 +11,17 @@ The values are maximized over measurement directions by definition.
 Each direction's disturbance D = rho - Omega(rho) is formed explicitly
 as a 4x4 matrix by the same product, with the state terms scaled by the
 coefficients of the identity minus the map. Its Hilbert-Schmidt norm is
-the sum of its squared entries. Its trace norm comes from the 2x2 block
-that D holds between the two eigenvectors of m.sigma, with weights in
-closed form in m: S D S = -D makes D block off-diagonal in that basis (see
-``_trace_norms``), and on seeded states the block norm matches the sum of
-|eigenvalues| of D to 1.1e-15. So the oracle takes no matrix spectrum at
-all and shares no solver with ``measures``; the cross-check rests on two
+the sum of its squared entries, read in the natural order (a b, a' b').
+Its trace norm comes from the 2x2 block that D holds between the two
+eigenvectors of m.sigma, with weights in closed form in m: S D S = -D
+makes D block off-diagonal in that basis (see ``_trace_norms``), and on
+seeded states the block norm matches the sum of |eigenvalues| of D to
+1.1e-15. For the trace norm the state terms are regrouped once per call
+into 2x2 block order (a a', b b') (see ``_block_order``), so the product
+lands with the rows aa' of every block side by side and no pass regroups
+its disturbances; the values are bitwise those of the natural order
+regrouped pass by pass. So the oracle takes no matrix spectrum at all and
+shares no solver with ``measures``; the cross-check rests on two
 different algorithms: explicit post-measurement states, entrywise norms
 and a direct maximization here, closed formulas on the Bloch data with
 LAPACK singular values and eigenvalues there.
@@ -147,6 +152,14 @@ def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
     return np.concatenate([c_rho * rho.reshape(lead + (1, 16)), c_s * sandwiches], axis=-2).view(float)
 
 
+def _block_order(terms) -> np.ndarray:
+    """The (..., 10, 32) terms with each term's 16 entries regrouped from
+    (a b, a' b') to (a a', b b'): rows aa' of the 2x2 blocks over b, b'. A copy."""
+    lead = terms.shape[:-1]
+    # Axes a, b, a', b' and the real/imaginary pair; b swaps with a'.
+    return terms.reshape(lead + (2, 2, 2, 2, 2)).swapaxes(-4, -3).reshape(lead + (32,))
+
+
 def _kraus_columns(ms) -> np.ndarray:
     """The (k, 10) rows [1, m_k m_l] of the unit directions ms (shape (k, 3)): the Kraus map's direction half."""
     cols = np.empty((len(ms), 10))
@@ -171,11 +184,12 @@ def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
     return (_kraus_columns(ms) @ terms).view(complex).reshape(-1, 4, 4)
 
 
-def _trace_norms(deltas, ms) -> np.ndarray:
+def _trace_norms(blocks, ms) -> np.ndarray:
     """|D|_1 of each disturbance D for its direction in ms (k, 3), without an eigensolve.
 
-    deltas holds the rows of D, (k, 16) or (k, S, 16) for S states measured
-    along the same k directions; the result has the shape (k,) or (k, S).
+    blocks holds D in 2x2 block order, (k, 4, 4 S) for S states measured
+    along the same k directions: row aa' of direction j holds D_(ab),(a'b')
+    of each state in turn, over bb'. The result has the shape (k, S).
     D = rho - Omega(rho) = 2 b^2 (rho - S rho S) with S = (m.sigma) x I and
     S^2 = I, so S D S = -D. In the eigenbasis u+, u- of m.sigma, D is then
     [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I); its
@@ -196,27 +210,28 @@ def _trace_norms(deltas, ms) -> np.ndarray:
     c = 1.0 + s * ms[:, 2]
     wbar = s * (ms[:, 0] - 1j * ms[:, 1])
     coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(k, 1, 4)
-    # D_(ab),(a'b') of each state, regrouped as rows aa' and columns (state, bb').
-    blocks = deltas.reshape(k, -1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(k, 4, -1)
     b = (coef @ blocks).reshape(k, -1, 4)
     det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
     fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
-    return (2.0 * np.sqrt(fro + 2.0 * np.abs(det))).reshape(deltas.shape[:-1])
+    return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
 
 
-def _norms(deltas, ms, norm: str) -> np.ndarray:
-    """|D|_2^2 (real^2 + imag^2 of the entries) or |D|_1 of the (k, S, 16) disturbances, as (k, S)."""
+def _norms(product, ms, norm: str) -> np.ndarray:
+    """Disturbance norms of S states along the k directions ms (k, 3), as (k, S),
+    from the real (k, 32 S) product of the directions' columns with the states'
+    terms: |D|_2^2, the sum of squares of each state's 32 floats in natural
+    order, or |D|_1 from the (k, 4, 4 S) blocks of block-ordered terms."""
     if norm == "hs":
-        return np.einsum("...j,...j->...", deltas.view(float), deltas.view(float))
-    return _trace_norms(deltas, ms)
+        floats = product.reshape(len(ms), -1, 32)
+        return np.einsum("...j,...j->...", floats, floats)
+    return _trace_norms(product.view(complex).reshape(len(ms), 4, -1), ms)
 
 
 def _own_direction_values(terms, ms, norm: str) -> np.ndarray:
     """Disturbance norms of the S states with (S, 10, 32) terms, each along its
     own k directions ms (S, k, 3): one batched (S, k, 10) @ (S, 10, 32) product."""
     cols = _kraus_columns(ms.reshape(-1, 3)).reshape(ms.shape[:-1] + (10,))
-    deltas = (cols @ terms).view(complex).reshape(-1, 1, 16)
-    return _norms(deltas, ms.reshape(-1, 3), norm).reshape(ms.shape[:-1])
+    return _norms((cols @ terms).reshape(-1, 32), ms.reshape(-1, 3), norm).reshape(ms.shape[:-1])
 
 
 @functools.cache
@@ -248,14 +263,18 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
     over a theta/phi grid plus one refinement pass around its best cell.
 
     Each coarse pass builds the columns of its directions once and multiplies
-    them with the terms of all S states side by side, (k, 10) @ (10, 32 S);
-    the best value and cell of each state run across the passes, keeping the
-    first cell on ties as one argmax over the whole grid would.
+    them with the terms of all S states side by side, (k, 10) @ (10, 32 S):
+    the columns are (state, entry) for the hs norm and, for the trace norm's
+    block-ordered terms, (aa', state, bb'), so that the product reshapes to
+    the (k, 4, 4 S) blocks of ``_trace_norms`` as a view. The best value and
+    cell of each state run across the passes, keeping the first cell on ties
+    as one argmax over the whole grid would.
     """
     g = GRID_RESOLUTION
     tt, pp, ms = _coarse_grid()
     count = len(terms)
-    wide = terms.transpose(1, 0, 2).reshape(10, -1)
+    rows = 4 if norm == "trace" else 1
+    wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
     best = np.full(count, -np.inf)
     cell = np.zeros(count, dtype=int)
     # A one-direction product would take BLAS's matrix-vector kernel, whose
@@ -265,7 +284,7 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
     bounds = [len(ms) * j // passes for j in range(passes + 1)]
     for i, end in zip(bounds, bounds[1:]):
         part = ms[i:end]
-        values = _norms((_kraus_columns(part) @ wide).view(complex).reshape(len(part), count, 16), part, norm)
+        values = _norms(_kraus_columns(part) @ wide, part, norm)
         top = np.argmax(values, axis=0)
         top_values = values[top, np.arange(count)]
         better = top_values > best
@@ -291,6 +310,8 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
     t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
     flat = rho.reshape(-1, 4, 4)
     terms = _kraus_terms(flat, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+    if norm == "trace":
+        terms = _block_order(terms)
     ms, degenerate = _marginal_direction(flat)
     out = np.empty(len(flat))
     direct = ~degenerate

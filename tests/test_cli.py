@@ -374,6 +374,27 @@ class TestMainEntry:
         assert err.startswith("error: steps must lie in [1, 1000000], got 100000000")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep-time", "sweep-strength"])
+    def test_sweep_step_count_over_the_bound_exits_2_before_allocating(self, tmp_path, monkeypatch, capsys, command):
+        # --steps 100000000 asks for 10^8 output times and as many exact
+        # states; the bound must refuse it before any array of that size.
+        linspace, empty = np.linspace, np.empty
+
+        def small_linspace(start, stop, num=50, *args, **kwargs):
+            assert num <= dynamics.MAX_STEPS + 1, f"np.linspace(num={num})"
+            return linspace(start, stop, num, *args, **kwargs)
+
+        def small_empty(shape, *args, **kwargs):
+            assert np.prod(shape) <= 16 * (dynamics.MAX_STEPS + 1), f"np.empty{shape}"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        monkeypatch.setattr(np, "empty", small_empty)
+        out = tmp_path / "x.csv"
+        assert main([command, "--steps", "100000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: steps must lie in [2, 1000000], got 100000000")
+        assert not out.exists()
+
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "subprocess.csv"
         result = subprocess.run(

@@ -21,6 +21,7 @@ from thermomin import (
 from thermomin import oracle
 from thermomin.measures import MARGINAL_EPS
 from thermomin.oracle import (
+    _block_order,
     _coarse_grid,
     _direction_batch,
     _kraus_columns,
@@ -254,10 +255,17 @@ class TestTraceNormBlock:
         return [ginibre_state(rng) if k % 2 == 0 else degenerate_marginal_state(rng) for k in range(12)]
 
     @staticmethod
-    def disturbances(rho, t1, t2, ms):
-        """(k, 16) rows rho - Omega(rho), as the grid search forms them."""
-        terms = _kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+    def disturbances(rho, t1, t2, ms, order=lambda terms: terms):
+        """(k, 16) rows rho - Omega(rho) from the terms in the given order; the
+        natural order by default, the grid search's trace-norm order with
+        ``_block_order``."""
+        terms = order(_kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2))
         return (_kraus_columns(ms) @ terms).view(complex)
+
+    @staticmethod
+    def blocks(rho, t1, t2, ms):
+        """The (k, 4, 4) blocks that ``_trace_norms`` takes, rows aa' over bb'."""
+        return TestTraceNormBlock.disturbances(rho, t1, t2, ms, _block_order).reshape(-1, 4, 4)
 
     @pytest.mark.parametrize("x", STRENGTHS, ids=lambda x: "projective" if x is None else f"x={x}")
     def test_disturbance_anticommutes_with_the_measured_operator(self, x):
@@ -273,9 +281,8 @@ class TestTraceNormBlock:
         t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
         ms = self.directions()
         for rho in self.states():
-            rows = self.disturbances(rho, t1, t2, ms)
-            literal = np.abs(np.linalg.eigvalsh(rows.reshape(-1, 4, 4))).sum(axis=1)
-            assert np.max(np.abs(_trace_norms(rows, ms) - literal)) <= 1e-14
+            literal = np.abs(np.linalg.eigvalsh(self.disturbances(rho, t1, t2, ms).reshape(-1, 4, 4))).sum(axis=1)
+            assert np.max(np.abs(_trace_norms(self.blocks(rho, t1, t2, ms), ms)[:, 0] - literal)) <= 1e-14
 
     def test_grid_trace_norm_takes_no_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -344,6 +351,7 @@ class TestHemisphereGrid:
                 there = TestTraceNormBlock.disturbances(rho, t1, t2, -ms)
                 hs = [np.einsum("ij,ij->i", d.view(float), d.view(float)) for d in (here, there)]
                 assert hs[0].tobytes() == hs[1].tobytes()
+                here, there = (TestTraceNormBlock.blocks(rho, t1, t2, m) for m in (ms, -ms))
                 assert _trace_norms(here, ms).tobytes() == _trace_norms(there, -ms).tobytes()
 
     def test_hemisphere_search_matches_the_full_sphere(self, monkeypatch):
@@ -415,6 +423,73 @@ def test_grid_values_do_not_depend_on_the_chunk(monkeypatch, chunk):
     default = values()
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     assert values() == default
+
+
+def test_block_order_permutes_each_terms_entries():
+    terms = _kraus_terms(mixed_stack(np.random.default_rng(62), 6), 0.3, -0.7)
+    # Entry (a b, a' b') sits at 8a + 4b + 2a' + b' and moves to (a a', b b').
+    source = [8 * a + 4 * b + 2 * a_ + b_ for a in (0, 1) for a_ in (0, 1) for b in (0, 1) for b_ in (0, 1)]
+    expected = np.ascontiguousarray(terms.view(complex)[..., source])
+    assert _block_order(terms).tobytes() == expected.tobytes()
+
+
+def natural_trace_norms(rows, ms):
+    """Reference for ``_trace_norms`` on terms left in natural order: the rows
+    (k, [ab], state, [a'b']) are the disturbances' matrix rows, regrouped into
+    2x2 blocks by a 6-axis transpose and weighted as in ``_trace_norms``."""
+    k = len(ms)
+    deltas = rows.reshape(k, 4, -1, 4).transpose(0, 2, 1, 3)
+    blocks = deltas.reshape(k, -1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(k, 4, -1)
+    s = np.where(ms[:, 2] < 0.0, -1.0, 1.0)
+    c = 1.0 + s * ms[:, 2]
+    wbar = s * (ms[:, 0] - 1j * ms[:, 1])
+    coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(k, 1, 4)
+    b = (coef @ blocks).reshape(k, -1, 4)
+    det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
+    fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
+    return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
+
+
+@pytest.mark.parametrize("name", ["trace", "weak-trace"])
+@pytest.mark.parametrize("seed", [63, 64, 65])
+def test_trace_values_equal_the_natural_layout_regroup(monkeypatch, name, seed):
+    # Stacks of 12 and 7 states, 6 and 4 of them degenerate, so that the
+    # coarse passes take 166 and 250 directions each.
+    f = ORACLES[name]
+    stacks = [mixed_stack(np.random.default_rng(seed), count) for count in (12, 7)]
+    block = [f(states) for states in stacks]
+    monkeypatch.setattr(oracle, "_block_order", lambda terms: terms)
+    monkeypatch.setattr(oracle, "_trace_norms", natural_trace_norms)
+    for states, values in zip(stacks, block):
+        assert values.tobytes() == f(states).tobytes()
+
+
+def near_pole_state(theta, phi):
+    """Bell-diagonal state with correlations (0.5, -0.4, 0.1), its a side
+    rotated so that N2's optimal direction, the a-side image of z, lies at
+    (theta, phi); subsystem a's marginal stays maximally mixed."""
+    bell = (np.eye(4) + sum(c * np.kron(p, p) for c, p in zip((0.5, -0.4, 0.1), (SX, SY, SZ)))) / 4.0
+    axis = -math.sin(phi) * SX + math.cos(phi) * SY
+    ua = np.kron(math.cos(theta / 2.0) * ID2 - 1j * math.sin(theta / 2.0) * axis, ID2)
+    return ua @ bell @ ua.conj().T
+
+
+def test_grid_keeps_the_first_pole_cell_on_ties():
+    # The theta = 0 row of the coarse grid holds 2 g copies of the pole, all
+    # with the same value. This state's best coarse cell is the pole, and its
+    # optimum lies near it on the refinement grid around phi = 0. In a stack
+    # of 6 degenerate states the pole row spans two coarse passes; refining
+    # around the copy that starts the second pass, at phi = 1.63 pi, gives a
+    # smaller value (by 7.3e-6), so keeping the last cell on ties fails here.
+    g = oracle.GRID_RESOLUTION
+    rho = near_pole_state(0.4 * math.pi / (g - 1), 0.3 * math.pi / g)
+    rng = np.random.default_rng(66)
+    stack = np.array([rho] + [degenerate_marginal_state(rng) for _ in range(5)])
+    assert _marginal_direction(stack)[1].all()
+    assert oracle._CHUNK // len(stack) < 2 * g
+    value = brute_force_hs_min(stack)[0]
+    assert value == brute_force_hs_min(rho)
+    assert abs(value - hs_min(rho)) <= 1e-15
 
 
 def shifted_bell_state(rng, size):
