@@ -9,7 +9,7 @@ units gamma*t; the decay rate gamma enters only the raw generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, sqrt
+from math import exp, expm1, isfinite, sqrt
 
 import numpy as np
 
@@ -27,6 +27,8 @@ MAX_STEPS = 1_000_000
 
 # Stored states advanced per batched product of step powers in integrate.
 _BLOCK = 50
+# Scan times per exact-solution call in sudden_death_time.
+_SCAN_BLOCK = 256
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -90,26 +92,6 @@ def initial_state(p: ModelParams) -> np.ndarray:
     return validate_state(rho)
 
 
-def _analytic_elements(p: ModelParams, t: float):
-    """Nonzero elements (rho11, rho22, rho44, rho23) at scaled time t.
-
-    rho11 and rho44 are written as products that contain no cancellation,
-    with u = 1 - e1 from expm1, so rho44(0) is exactly 0 and both stay
-    accurate to relative roundoff where they are small.
-    """
-    n, r = p.n, p.r
-    k = 2.0 * n + 1.0
-    g = k * k
-    b = r * k - 2.0 * (n + 1.0)
-    a = r * (n + 1.0) * (4.0 * n + 2.0) - 2.0 * (n + 1.0) ** 2
-    e1, u = exp(-k * t), -expm1(-k * t)
-    rho11 = (n + (n + 1.0) * e1) * (n * u + (1.0 - r) * k * e1) / g
-    rho22 = (2.0 * n * (n + 1.0) - b * e1 + a * e1 * e1) / (2.0 * g)
-    rho44 = (n + 1.0) * u * ((n + 1.0) * u + r * k * e1) / g
-    rho23 = 0.5 * r * e1
-    return rho11, rho22, rho44, rho23
-
-
 def analytic_states(p: ModelParams, times) -> np.ndarray:
     """Exact solution of the thermal master equation at scaled times >= 0.
 
@@ -120,10 +102,16 @@ def analytic_states(p: ModelParams, times) -> np.ndarray:
     a valid state by construction, so the stack is not validated here: the
     measures validate what they are given, once per call.
 
-    The elements are taken one time at a time with math.exp and math.expm1:
-    numpy's vectorized exp differs from them by one unit in the last place
-    on a few percent of arguments, which moves a printed sweep digit now and
-    then (3 of 180,000 rows on 100 seeded 3x3x200 grids).
+    rho11 and rho44 are written as products that contain no cancellation,
+    with u = 1 - e1 from expm1, so rho44(0) is exactly 0 and both stay
+    accurate to relative roundoff where they are small. e1 and u are
+    math.exp and math.expm1 of the products -(2n+1) t, mapped over the
+    times with np.fromiter: numpy's vectorized exp differs from math.exp by
+    one unit in the last place on a few percent of arguments, which moves a
+    printed sweep digit now and then (3 of 180,000 rows on 100 seeded
+    3x3x200 grids). The rest is numpy elementwise arithmetic with the
+    Python-float parameters, in the order of the one-time formula, so every
+    state is bitwise what that formula gives at its time.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
@@ -131,12 +119,19 @@ def analytic_states(p: ModelParams, times) -> np.ndarray:
     bad = ~(t >= 0.0)
     if bad.any():
         raise ValueError(f"scaled time must be >= 0, got {t[bad][0]}")
-    elements = np.array([_analytic_elements(p, s) for s in t.tolist()]).reshape(-1, 4)
+    n, r = p.n, p.r
+    k = 2.0 * n + 1.0
+    g = k * k
+    b = r * k - 2.0 * (n + 1.0)
+    a = r * (n + 1.0) * (4.0 * n + 2.0) - 2.0 * (n + 1.0) ** 2
+    kt = (-k * t).tolist()
+    e1 = np.fromiter(map(exp, kt), float, len(kt))
+    u = -np.fromiter(map(expm1, kt), float, len(kt))
     rho = np.zeros((len(t), 4, 4), dtype=complex)
-    rho[:, 0, 0] = elements[:, 0]
-    rho[:, 1, 1] = rho[:, 2, 2] = elements[:, 1]
-    rho[:, 3, 3] = elements[:, 2]
-    rho[:, 1, 2] = rho[:, 2, 1] = elements[:, 3]
+    rho[:, 0, 0] = (n + (n + 1.0) * e1) * (n * u + (1.0 - r) * k * e1) / g
+    rho[:, 1, 1] = rho[:, 2, 2] = (2.0 * n * (n + 1.0) - b * e1 + a * e1 * e1) / (2.0 * g)
+    rho[:, 3, 3] = (n + 1.0) * u * ((n + 1.0) * u + r * k * e1) / g
+    rho[:, 1, 2] = rho[:, 2, 1] = 0.5 * r * e1
     return rho
 
 
@@ -258,10 +253,10 @@ def _check_steps(states: np.ndarray, times: np.ndarray, decay_step: float):
         )
 
 
-def _entanglement_gap(p: ModelParams, t: float) -> float:
-    """|rho23| - sqrt(rho11 rho44); concurrence is positive iff this is."""
-    rho11, _, rho44, rho23 = _analytic_elements(p, t)
-    return abs(rho23) - sqrt(max(rho11 * rho44, 0.0))
+def _entanglement_gap(p: ModelParams, times) -> np.ndarray:
+    """|rho23| - sqrt(rho11 rho44) of the exact solution at each time; concurrence is positive iff this is."""
+    rho = analytic_states(p, times)
+    return np.abs(rho[:, 1, 2]) - np.sqrt(np.maximum(rho[:, 0, 0].real * rho[:, 3, 3].real, 0.0))
 
 
 def sudden_death_time(p: ModelParams, scan_step: float = 0.005):
@@ -271,26 +266,42 @@ def sudden_death_time(p: ModelParams, scan_step: float = 0.005):
     Raises NoBracket when the concurrence stays positive over the whole
     search horizon (the vacuum-reservoir case n = 0, r near 1). The root
     is located by a linear scan followed by bisection to 1e-9.
+
+    scan_step must be finite and > 0, else ValueError. The scan visits
+    gamma*t = scan_step, 2 scan_step, ... up to the horizon, each time the
+    previous one plus scan_step; it evaluates them in blocks of
+    _SCAN_BLOCK = 256 times and stops at the first block that holds a root.
     """
-    if _entanglement_gap(p, 0.0) <= 0.0:
+    if not (isfinite(scan_step) and scan_step > 0.0):
+        raise ValueError(f"scan_step must be finite and > 0, got {scan_step}")
+    if _entanglement_gap(p, [0.0])[0] <= 0.0:
         return None
     lo = 0.0
     hi = None
-    t = scan_step
-    while t <= SUDDEN_DEATH_HORIZON + 1e-12:
-        if _entanglement_gap(p, t) <= 0.0:
-            hi = t
-            break
-        lo = t
-        t += scan_step
-    if hi is None:
-        raise NoBracket(
-            f"concurrence stays positive up to gamma*t = {SUDDEN_DEATH_HORIZON}; "
-            "no sudden death for these parameters"
-        )
+    steps = np.full(_SCAN_BLOCK + 1, scan_step)
+    while hi is None:
+        # Accumulated in order from the last time scanned, so each time is the
+        # same float as t += scan_step; times past the horizon, inf among
+        # them, are dropped.
+        steps[0] = lo
+        with np.errstate(over="ignore"):
+            ts = np.add.accumulate(steps)[1:]
+        ts = ts[ts <= SUDDEN_DEATH_HORIZON + 1e-12]
+        if len(ts) == 0:
+            raise NoBracket(
+                f"concurrence stays positive up to gamma*t = {SUDDEN_DEATH_HORIZON}; "
+                "no sudden death for these parameters"
+            )
+        dead = _entanglement_gap(p, ts) <= 0.0
+        if dead.any():
+            i = int(np.argmax(dead))
+            hi = float(ts[i])
+            lo = float(ts[i - 1]) if i > 0 else lo
+        else:
+            lo = float(ts[-1])
     while hi - lo > SUDDEN_DEATH_XTOL:
         mid = 0.5 * (lo + hi)
-        if _entanglement_gap(p, mid) <= 0.0:
+        if _entanglement_gap(p, [mid])[0] <= 0.0:
             hi = mid
         else:
             lo = mid

@@ -149,7 +149,9 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     evals, vecs = hermitian_eigensystem(m)
     _require_psd(evals[..., -1])
     s = (vecs * psd_roots(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return 0.5 * (s + s.conj().swapaxes(-1, -2))
+    s += s.conj().swapaxes(-1, -2)
+    s *= 0.5
+    return s
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:
@@ -183,8 +185,15 @@ def bloch_decompose(rho) -> BlochRep:
 
 def _bloch(rho: np.ndarray) -> BlochRep:
     """bloch_decompose without the validation, for callers that already did it."""
-    t = rho[..., np.arange(4), _BLOCH_COLS] * _BLOCH_PHASES
-    v = (((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]).real
+    # One term of each of the 15 sums at a time: the fancy index copies, so
+    # the phases multiply that copy in place and rho is left as it was.
+    v = rho[..., 0, _BLOCH_COLS[:, 0]]
+    v *= _BLOCH_PHASES[:, 0]
+    for i in range(1, 4):
+        t = rho[..., i, _BLOCH_COLS[:, i]]
+        t *= _BLOCH_PHASES[:, i]
+        v += t
+    v = v.real
     return BlochRep(x=v[..., 0:3], y=v[..., 3:6], C=v[..., 6:15].reshape(v.shape[:-1] + (3, 3)))
 
 

@@ -24,6 +24,7 @@ from thermomin.cli import (
     IoFailure,
     SweepConfig,
     _cells,
+    _states_on_grid,
     main,
     run_strength_sweep,
     run_time_sweep,
@@ -117,6 +118,49 @@ class TestTimeSweep:
         _, rows_r = read_csv(out_r)
         for ra, rr in zip(rows_a, rows_r):
             np.testing.assert_allclose(rr, ra, atol=1e-7)
+
+    @pytest.mark.parametrize("measure_slice", [1, 7, 10**6])
+    @pytest.mark.parametrize(
+        "ns, rs", [([0.4], [0.9]), ([0.0, 1.3], [1.0]), ([0.2], [0.0, 0.5, 1.0])], ids=["1pair", "2pairs", "3pairs"]
+    )
+    @pytest.mark.parametrize("integrator", ["analytic", "rk4"])
+    def test_stacked_grid_matches_per_trajectory_reference(
+        self, tmp_path, monkeypatch, integrator, ns, rs, measure_slice
+    ):
+        # One evaluate_measures call per trajectory, as the rows were first written.
+        monkeypatch.setattr("thermomin.cli._MEASURE_SLICE", measure_slice)
+        t_max, steps = 3.0, 13
+        times = np.linspace(0.0, t_max, steps)
+        sub = math.ceil(dynamics.DEFAULT_STEPS_PER_UNIT_TIME * t_max / (steps - 1))
+        expected = ["n,r,gamma_t,C,N2,N1\n"]
+        for n in ns:
+            for r in rs:
+                p = ModelParams(n=n, r=r)
+                if integrator == "analytic":
+                    states = analytic_states(p, times)
+                else:
+                    states = dynamics.integrate(p, t_max, steps=sub * (steps - 1)).states[::sub]
+                rep = evaluate_measures(states, WeakStrength(0.0))
+                expected += [reference_line((n, r, *row)) for row in zip(times, rep.C, rep.N2, rep.N1)]
+        out = tmp_path / "grid.csv"
+        cfg = SweepConfig(n_values=ns, r_values=rs, t_max=t_max, t_steps=steps, output_path=str(out))
+        assert run_time_sweep(cfg, integrator=integrator) == len(expected) - 1
+        assert out.read_text(encoding="ascii") == "".join(expected)
+
+    def test_rk4_rows_are_copied_out_of_the_trajectory(self, monkeypatch):
+        trajectories = []
+        integrate = dynamics.integrate
+
+        def keep(*args, **kwargs):
+            trajectories.append(integrate(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(dynamics, "integrate", keep)
+        _, states = _states_on_grid(ModelParams(n=0.5, r=0.8), 2.0, 5, "rk4")
+        full = trajectories[0].states
+        assert len(full) == 201
+        assert not np.shares_memory(states, full)
+        assert states.tobytes() == full[::50].tobytes()
 
     def test_invalid_configs_rejected(self, tmp_path):
         out = str(tmp_path / "x.csv")

@@ -20,9 +20,46 @@ from thermomin import (
     trace_min,
     validate_state,
 )
-from thermomin.dynamics import MAX_STEPS, _rhs_superoperator, _taylor_step
+from thermomin.dynamics import MAX_STEPS, SUDDEN_DEATH_HORIZON, _rhs_superoperator, _taylor_step
 
 from _helpers import ginibre_state
+
+
+def scalar_elements(p, t):
+    """rho11, rho22, rho44, rho23 at one time, the exact solution written out with Python floats."""
+    n, r = p.n, p.r
+    k = 2.0 * n + 1.0
+    g = k * k
+    b = r * k - 2.0 * (n + 1.0)
+    a = r * (n + 1.0) * (4.0 * n + 2.0) - 2.0 * (n + 1.0) ** 2
+    e1, u = math.exp(-k * t), -math.expm1(-k * t)
+    rho11 = (n + (n + 1.0) * e1) * (n * u + (1.0 - r) * k * e1) / g
+    rho22 = (2.0 * n * (n + 1.0) - b * e1 + a * e1 * e1) / (2.0 * g)
+    rho44 = (n + 1.0) * u * ((n + 1.0) * u + r * k * e1) / g
+    rho23 = 0.5 * r * e1
+    return rho11, rho22, rho44, rho23
+
+
+def scalar_sudden_death_time(p, scan_step):
+    """The sudden-death scan and bisection one time at a time, on scalar_elements."""
+
+    def gap(t):
+        rho11, _, rho44, rho23 = scalar_elements(p, t)
+        return abs(rho23) - math.sqrt(max(rho11 * rho44, 0.0))
+
+    lo, t = 0.0, scan_step
+    while gap(t) > 0.0:
+        lo = t
+        t += scan_step
+        assert t <= SUDDEN_DEATH_HORIZON
+    hi = t
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def thermal_product(n):
@@ -104,6 +141,20 @@ class TestAnalyticState:
             analytic_state_at(ModelParams(n=1.0, r=1.0), -0.5)
         with pytest.raises(ValueError):
             analytic_states(ModelParams(n=1.0, r=1.0), [0.0, 1.0, np.nan])
+
+    def test_stack_equals_the_scalar_formula_bitwise(self):
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            n = 0.0 if i % 8 == 0 else float(rng.uniform(0.0, 3.0))
+            r = (0.0, 1.0, float(rng.uniform()))[i % 3]
+            p = ModelParams(n=n, r=r)
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 60.0, size=49))])
+            expected = np.zeros((len(times), 4, 4), dtype=complex)
+            for rho, t in zip(expected, times.tolist()):
+                rho11, rho22, rho44, rho23 = scalar_elements(p, t)
+                rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = rho11, rho22, rho22, rho44
+                rho[1, 2] = rho[2, 1] = rho23
+            assert analytic_states(p, times).tobytes() == expected.tobytes()
 
     def test_stack_of_times(self):
         p = ModelParams(n=0.3, r=0.7)
@@ -273,6 +324,22 @@ class TestSuddenDeath:
     def test_vacuum_reservoir_never_brackets(self):
         with pytest.raises(NoBracket):
             sudden_death_time(ModelParams(n=0.0, r=1.0))
+
+    @pytest.mark.parametrize("scan_step", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_a_scan_step_that_is_not_finite_and_positive(self, scan_step):
+        with pytest.raises(ValueError, match="scan_step must be finite and > 0"):
+            sudden_death_time(ModelParams(n=1.0, r=1.0), scan_step=scan_step)
+
+    def test_equals_the_scalar_scan_bitwise(self):
+        # The roots lie in the first scan block, past it, and (n = 0.001,
+        # about 1,070 scan times at the default step) several blocks on; at
+        # scan_step 0.00121 the first time past the n = 1 root is the 257th,
+        # the first of the second block.
+        cases = [(1.0, 1.0, 0.005), (0.001, 1.0, 0.005), (0.02, 0.9, 0.005), (0.4, 0.6, 0.013), (2.5, 0.35, 1e-4)]
+        cases += [(1.0, 1.0, 0.00121)]
+        for n, r, scan_step in cases:
+            p = ModelParams(n=n, r=r)
+            assert sudden_death_time(p, scan_step) == scalar_sudden_death_time(p, scan_step)
 
 
 class TestTrajectoryMeasures:

@@ -187,6 +187,14 @@ class TestBloch:
             assert np.linalg.norm(b.y) <= 1.0 + 1e-12
             assert np.max(np.abs(b.C)) <= 1.0 + 1e-12
 
+    def test_decompose_leaves_its_input_unchanged(self):
+        rng = np.random.default_rng(16)
+        stack = np.array([ginibre_state(rng) for _ in range(5)])
+        for rho in (stack, stack[2]):
+            before = rho.tobytes()
+            bloch_decompose(rho)
+            assert rho.tobytes() == before
+
     def test_compose_rejects_non_state(self):
         bad = BlochRep(x=np.zeros(3), y=np.zeros(3), C=np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(NotPositive):
