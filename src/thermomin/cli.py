@@ -61,12 +61,13 @@ class SweepConfig:
             raise InvalidConfig(f"steps must lie in [2, {dynamics.MAX_STEPS}], got {self.t_steps}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise InvalidConfig(f"t-max must be finite and > 0, got {self.t_max}")
-        if any(n < 0.0 for n in self.n_values):
-            raise InvalidConfig("all n values must be >= 0")
+        # Written "not >=" so that NaN is refused here, before any output.
+        if any(not (n >= 0.0) for n in self.n_values):
+            raise InvalidConfig(f"every --n value must be >= 0, got {self.n_values}")
         if any(not (0.0 <= r <= 1.0) for r in self.r_values):
             raise InvalidConfig("all r values must lie in [0, 1]")
-        if any(x < 0.0 for x in self.x_values):
-            raise InvalidConfig("all x values must be >= 0")
+        if any(not (x >= 0.0) for x in self.x_values):
+            raise InvalidConfig(f"every --x value must be >= 0, got {self.x_values}")
         if not self.output_path:
             raise InvalidConfig("an output path is required (--out)")
 
@@ -77,11 +78,29 @@ def _cells(*columns, end: str = ","):
     return [row_format % tuple(row) for row in (np.column_stack(columns) + 0.0).tolist()]
 
 
-def _write_rows(path: str, header: str, lines):
-    text = header + "\n" + "".join(lines)
+def _blocks(shared, heads, *columns):
+    """Per head, one "%" of a template whose row i is a %s head, shared[i], then one "%.12g" cell per column.
+
+    Each column yields one 1-d array per head (+ 0.0 writes -0 as 0). The
+    shared cells are literal text in the template; as "%.12g" output they
+    hold only digits, "-", ".", "e", "+", "inf" or "nan", never a "%".
+    """
+    k = len(columns) + 1
+    tail = ",".join(["%.12g"] * len(columns)) + "\n"
+    template = "".join("%s" + cells + tail for cells in shared)
+    for head, *cols in zip(heads, *columns):
+        args = [head] * (k * len(shared))
+        for j, col in enumerate(cols, 1):
+            args[j::k] = (col + 0.0).tolist()
+        yield template % tuple(args)
+
+
+def _write_rows(path: str, header: str, blocks):
+    """Write the header line, then each block as it is made, never the whole text at once; OSError -> IoFailure."""
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+            fh.write(header + "\n")
+            fh.writelines(blocks)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -126,41 +145,33 @@ def _measures_on_grid(pairs, cfg: SweepConfig, integrator: str):
 
 
 def run_time_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
-    """Write n,r,gamma_t,C,N2,N1 rows ordered by (n, r, gamma_t); returns row count."""
+    """Write n,r,gamma_t,C,N2,N1 rows ordered by (n, r, gamma_t), one block per (n, r); returns row count."""
     cfg.validate()
     pairs = [(n, r) for n in sorted(cfg.n_values) for r in sorted(cfg.r_values)]
     times, values = _measures_on_grid(pairs, cfg, integrator)
-    lines = []
-    for (n, r), c, n2, n1 in zip(pairs, *values):
-        head = _cells([n], [r])[0]
-        lines.extend(head + cells for cells in _cells(times, c, n2, n1, end="\n"))
-    _write_rows(cfg.output_path, "n,r,gamma_t,C,N2,N1", lines)
-    return len(lines)
+    _write_rows(cfg.output_path, "n,r,gamma_t,C,N2,N1", _blocks(_cells(times), _cells(*zip(*pairs)), *values))
+    return len(pairs) * cfg.t_steps
 
 
 def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
     """Write x,gamma_t,N2,N1,N2W,N1W rows ordered by (x, gamma_t); returns row count.
 
     Requires exactly one n and one r value; the weak values scale the
-    projective ones by (1 - t1*t2) at each strength. The gamma_t, N2 and
-    N1 cells are formatted once and shared by every strength.
+    projective ones by (1 - t1*t2) at each strength. Each strength is one
+    block, and the gamma_t, N2 and N1 cells are formatted once for all.
     """
     cfg.validate()
     if len(cfg.n_values) != 1 or len(cfg.r_values) != 1:
         raise InvalidConfig("sweep-strength needs exactly one n and one r value")
     p = dynamics.ModelParams(n=cfg.n_values[0], r=cfg.r_values[0])
     times, states = _states_on_grid(p, cfg.t_max, cfg.t_steps, integrator)
-    # Two calls validate the trajectory twice, which costs less than the
-    # concurrence that evaluate_measures would compute and this sweep drops.
-    n2s, n1s = measures.hs_min(states), measures.trace_min(states)
-    projective = _cells(times, n2s, n1s)
-    lines = []
-    for x in sorted(cfg.x_values):
-        f = measures.weak_factor(measures.WeakStrength(x))
-        head = _cells([x])[0]
-        lines.extend(head + cells + weak for cells, weak in zip(projective, _cells(f * n2s, f * n1s, end="\n")))
-    _write_rows(cfg.output_path, "x,gamma_t,N2,N1,N2W,N1W", lines)
-    return len(lines)
+    b = qstate._bloch(qstate.validate_state(states))
+    n2s, n1s = measures._hs_min(b), measures._trace_min(b)
+    xs = sorted(cfg.x_values)
+    factors = [measures.weak_factor(measures.WeakStrength(x)) for x in xs]
+    weak = (f * n2s for f in factors), (f * n1s for f in factors)
+    _write_rows(cfg.output_path, "x,gamma_t,N2,N1,N2W,N1W", _blocks(_cells(times, n2s, n1s), _cells(xs), *weak))
+    return len(xs) * cfg.t_steps
 
 
 # ----------------------------------------------------------------------
@@ -451,17 +462,9 @@ def _sweep_config(values: dict, default_n: str, default_r: str) -> SweepConfig:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first call and reused by every later one.
-
-    parse_args leaves the parser unchanged. Building it anew for every
-    main call made a long-lived process's resident memory creep with the
-    number of calls.
-    """
-    parser = argparse.ArgumentParser(
-        prog="thermomin",
-        description="Entanglement and measurement-induced nonlocality sweeps "
-        "for two atoms in thermal reservoirs.",
-    )
+    """The command line parser, built once: parse_args leaves it unchanged, and one per main call made memory creep."""
+    description = "Entanglement and measurement-induced nonlocality sweeps for two atoms in thermal reservoirs."
+    parser = argparse.ArgumentParser(prog="thermomin", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -506,10 +509,7 @@ def main(argv=None) -> int:
             count = run(cfg, integrator=values.get("integrator", "analytic"))
             print(f"wrote {count} rows to {cfg.output_path}")
             return 0
-        report, status = run_validation(
-            sample_count=int(values.get("samples", "20")),
-            seed=int(values.get("seed", "7")),
-        )
+        report, status = run_validation(int(values.get("samples", "20")), int(values.get("seed", "7")))
         print(report, end="")
         return status
     except (InvalidConfig, IoFailure, ValueError, dynamics.StepTooLarge, OverflowError) as exc:

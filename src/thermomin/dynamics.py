@@ -29,6 +29,11 @@ MAX_STEPS = 1_000_000
 _BLOCK = 50
 # Scan times per exact-solution call in sudden_death_time.
 _SCAN_BLOCK = 256
+# Bisection halvings per exact-solution call in sudden_death_time: one call
+# evaluates the 2^6 - 1 = 63 midpoints they can visit. On a 2-vCPU x86 guest
+# (timeit) that call takes about 67 us against 50 us for one midpoint, and
+# the 23 halvings of a default 0.005 scan bracket take 4 calls instead of 23.
+_BISECT_DEPTH = 6
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -271,6 +276,8 @@ def sudden_death_time(p: ModelParams, scan_step: float = 0.005):
     gamma*t = scan_step, 2 scan_step, ... up to the horizon, each time the
     previous one plus scan_step; it evaluates them in blocks of
     _SCAN_BLOCK = 256 times and stops at the first block that holds a root.
+    The bisection evaluates, in one call, every midpoint that its next
+    _BISECT_DEPTH halvings can visit (_midpoint_tree), then walks them.
     """
     if not (isfinite(scan_step) and scan_step > 0.0):
         raise ValueError(f"scan_step must be finite and > 0, got {scan_step}")
@@ -300,9 +307,28 @@ def sudden_death_time(p: ModelParams, scan_step: float = 0.005):
         else:
             lo = float(ts[-1])
     while hi - lo > SUDDEN_DEATH_XTOL:
-        mid = 0.5 * (lo + hi)
-        if _entanglement_gap(p, [mid])[0] <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        mids = _midpoint_tree(lo, hi)
+        dead = _entanglement_gap(p, mids) <= 0.0
+        i = 0
+        while i < len(mids) and hi - lo > SUDDEN_DEATH_XTOL:
+            if dead[i]:
+                hi, i = mids[i], 2 * i + 1
+            else:
+                lo, i = mids[i], 2 * i + 2
     return 0.5 * (lo + hi)
+
+
+def _midpoint_tree(lo: float, hi: float) -> list:
+    """Every midpoint the next _BISECT_DEPTH halvings of [lo, hi] can visit, in heap order.
+
+    Entry i halves an interval; entries 2i + 1 and 2i + 2 halve its lower
+    and upper halves. Each is 0.5 * (a + b) of its interval (a, b), the
+    same float as the one-step bisection forms. The intervals of one level
+    lie in order between consecutive edges.
+    """
+    edges, mids = [lo, hi], []
+    for _ in range(_BISECT_DEPTH):
+        level = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+        mids += level
+        edges = [e for pair in zip(edges, level) for e in pair] + [hi]
+    return mids

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from thermomin.cli import (
     IoFailure,
     SweepConfig,
     _cells,
+    _measures_on_grid,
     _states_on_grid,
     main,
     run_strength_sweep,
@@ -39,6 +41,17 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def reference_line(values):
     """One CSV line formatted value by value, the format the sweeps promise."""
     return ",".join(f"{v + 0.0:.12g}" for v in values) + "\n"
+
+
+def traced_peak(call):
+    """tracemalloc's peak over one call of call(), made after a first, untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path):
@@ -213,6 +226,22 @@ class TestStrengthSweep:
             assert abs(n2w - n2) <= 1e-10
             assert abs(n1w - n1) <= 1e-10
 
+    def test_a_failing_strength_keeps_an_existing_csv(self, tmp_path, monkeypatch):
+        # Every strength's weak factor is made before the file is opened.
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"old\n")
+        real = weak_factor
+
+        def failing(w):
+            if w.x == 3.0:
+                raise ValueError("refused")
+            return real(w)
+
+        monkeypatch.setattr("thermomin.measures.weak_factor", failing)
+        with pytest.raises(ValueError, match="refused"):
+            run_strength_sweep(SweepConfig(x_values=[0.1, 1.0, 3.0, 30.0], t_steps=3, output_path=str(out)))
+        assert out.read_bytes() == b"old\n"
+
     def test_requires_single_parameter_point(self, tmp_path):
         cfg = SweepConfig(n_values=[0.1, 0.5], output_path=str(tmp_path / "s.csv"))
         with pytest.raises(InvalidConfig):
@@ -259,6 +288,45 @@ class TestCsvFormat:
             expected += [reference_line((x, t, n2, n1, f * n2, f * n1)) for t, n2, n1 in zip(times, n2s, n1s)]
         assert out.read_text(encoding="ascii") == "".join(expected)
 
+    @pytest.mark.parametrize(
+        "ns, rs, t_max, steps, integrator",
+        [([0.0, 1.0], [0.0, 1.0], 60.0, 31, "analytic"), ([0.2, 1.5], [0.5, 1.0], 3.0, 7, "rk4")],
+        ids=["t-max-60-zero-cells", "rk4"],
+    )
+    def test_more_time_sweep_files_match_reference(self, tmp_path, ns, rs, t_max, steps, integrator):
+        out = tmp_path / "time.csv"
+        cfg = SweepConfig(n_values=ns, r_values=rs, t_max=t_max, t_steps=steps, output_path=str(out))
+        run_time_sweep(cfg, integrator)
+        expected = ["n,r,gamma_t,C,N2,N1\n"]
+        for n in ns:
+            for r in rs:
+                times, states = _states_on_grid(ModelParams(n=n, r=r), t_max, steps, integrator)
+                rep = evaluate_measures(states, WeakStrength(0.0))
+                expected += [reference_line((n, r, *row)) for row in zip(times, rep.C, rep.N2, rep.N1)]
+        text = out.read_text(encoding="ascii")
+        assert text == "".join(expected)
+        if t_max == 60.0:
+            cells = {cell for line in text.splitlines()[1:] for cell in line.split(",")}
+            assert "0" in cells and any("e-" in cell for cell in cells)
+
+    @pytest.mark.parametrize(
+        "xs, n, r, t_max, integrator",
+        [([math.inf, 0.0, 30.0], 0.4, 0.9, 60.0, "analytic"), ([0.0, 1.0], 0.0, 0.0, 2.0, "analytic"),
+         ([3.0, 0.5], 0.3, 1.0, 4.0, "rk4")],
+        ids=["x-0-30-inf-t-max-60", "zero-cells", "rk4"],
+    )
+    def test_more_strength_sweep_files_match_reference(self, tmp_path, xs, n, r, t_max, integrator):
+        out = tmp_path / "strength.csv"
+        cfg = SweepConfig(n_values=[n], r_values=[r], x_values=xs, t_max=t_max, t_steps=25, output_path=str(out))
+        run_strength_sweep(cfg, integrator)
+        times, states = _states_on_grid(ModelParams(n=n, r=r), t_max, 25, integrator)
+        n2s, n1s = hs_min(states).tolist(), trace_min(states).tolist()
+        expected = ["x,gamma_t,N2,N1,N2W,N1W\n"]
+        for x in sorted(xs):
+            f = weak_factor(WeakStrength(x))
+            expected += [reference_line((x, t, n2, n1, f * n2, f * n1)) for t, n2, n1 in zip(times, n2s, n1s)]
+        assert out.read_text(encoding="ascii") == "".join(expected)
+
     def test_negative_zero_written_as_zero(self, tmp_path):
         out = tmp_path / "zero.csv"
         assert main(["sweep-strength", "--x=-0.0,1", "--steps", "3", "--out", str(out)]) == 0
@@ -268,6 +336,32 @@ class TestCsvFormat:
         cells = [line.split(",") for line in out.read_text(encoding="ascii").splitlines()[1:]]
         assert [row[:2] for row in cells] == [["0", "0"]] * 6
         assert "-0" not in {cell for row in cells for cell in row}
+
+
+class TestWriterMemory:
+    def test_strength_sweep_peak_is_below_half_the_csv(self, tmp_path):
+        # 200 times x 50 strengths: one block of 200 rows is held at a time,
+        # never the 10,000-row file.
+        out = tmp_path / "wide.csv"
+        xs = np.random.default_rng(3).exponential(2.0, 50).tolist()
+        cfg = SweepConfig(n_values=[0.7], r_values=[0.8], x_values=xs, t_steps=200, output_path=str(out))
+        peak = traced_peak(lambda: run_strength_sweep(cfg))
+        assert peak < out.stat().st_size / 2
+
+    def test_time_sweep_writer_peak_is_below_the_csv(self, tmp_path, monkeypatch):
+        # The measures' own peak, about 1.2 MB here, does not depend on the
+        # writer, so they are computed once outside the trace. With 9 blocks
+        # the shared cells, the template and one block's text and values are
+        # about three quarters of the file; a writer that holds the whole
+        # text needs several times the file.
+        out = tmp_path / "grid.csv"
+        cfg = SweepConfig(n_values=[0.1, 0.5, 1.0], r_values=[0.3, 0.5, 1.0], t_steps=200, output_path=str(out))
+        pairs = [(n, r) for n in cfg.n_values for r in cfg.r_values]
+        measured = _measures_on_grid(pairs, cfg, "analytic")
+        monkeypatch.setattr("thermomin.cli._measures_on_grid", lambda *args: measured)
+        peak = traced_peak(lambda: run_time_sweep(cfg))
+        assert out.stat().st_size > 100_000
+        assert peak < out.stat().st_size
 
 
 class TestValidateCommand:
@@ -388,6 +482,16 @@ class TestMainEntry:
         for n in ("1e308", "inf"):
             assert main(["sweep-time", "--n", n, "--out", str(tmp_path / "x.csv")]) == 2
             assert capsys.readouterr().err.startswith("error: n")
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep-strength", "--x", "1,nan"], ["sweep-time", "--n", "nan"], ["sweep-strength", "--n", "nan"]]
+    )
+    def test_nan_values_exit_2_and_keep_an_existing_csv(self, tmp_path, capsys, argv):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"x,gamma_t\n1,2\n")
+        assert main(argv + ["--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: every {argv[1]} value must be >= 0")
+        assert out.read_bytes() == b"x,gamma_t\n1,2\n"
 
     def test_non_finite_integrator_state_exits_2(self, tmp_path, capsys):
         # Near the largest accepted n no step count keeps the Taylor step

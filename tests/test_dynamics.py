@@ -20,6 +20,7 @@ from thermomin import (
     trace_min,
     validate_state,
 )
+from thermomin import dynamics
 from thermomin.dynamics import MAX_STEPS, SUDDEN_DEATH_HORIZON, _rhs_superoperator, _taylor_step
 
 from _helpers import ginibre_state
@@ -340,6 +341,20 @@ class TestSuddenDeath:
         for n, r, scan_step in cases:
             p = ModelParams(n=n, r=r)
             assert sudden_death_time(p, scan_step) == scalar_sudden_death_time(p, scan_step)
+
+
+    def test_bisection_evaluates_midpoint_trees(self, monkeypatch):
+        # Roots in the first scan block: one call at t = 0, one scan block,
+        # then one call per _BISECT_DEPTH halvings instead of one per halving.
+        gap = dynamics._entanglement_gap
+        for n, r, scan_step in ((1.0, 1.0, 0.005), (0.4, 0.6, 0.013), (2.5, 0.35, 1e-3), (0.3, 0.8, 0.05)):
+            p = ModelParams(n=n, r=r)
+            calls = []
+            monkeypatch.setattr(dynamics, "_entanglement_gap", lambda p, t: calls.append(len(t)) or gap(p, t))
+            assert sudden_death_time(p, scan_step) == scalar_sudden_death_time(p, scan_step)
+            assert len(calls) <= 8
+            assert calls[:2] == [1, dynamics._SCAN_BLOCK]
+            assert calls[2:] == [2**dynamics._BISECT_DEPTH - 1] * (len(calls) - 2)
 
 
 class TestTrajectoryMeasures:
