@@ -443,9 +443,17 @@ def _load_config_file(path: str) -> dict:
 
 
 def _option_values(args) -> dict:
-    """Command line flags over the --config file's values, keyed by flag name."""
+    """Command line flags over the --config file's values, keyed by flag name.
+
+    A file key that is not a flag of the command run, a misspelt one among
+    them, is refused instead of dropped."""
+    internal = ("command", "config", "default_n", "default_r")
+    flags = {key.replace("_", "-"): v for key, v in vars(args).items() if key not in internal}
     values = _load_config_file(args.config) if args.config else {}
-    values.update((key.replace("_", "-"), v) for key, v in vars(args).items() if v is not None)
+    unknown = [key for key in values if key not in flags]
+    if unknown:
+        raise InvalidConfig(f"config {args.config}: {', '.join(unknown)} is not a {args.command} option")
+    values.update((key, v) for key, v in flags.items() if v is not None)
     return values
 
 

@@ -468,6 +468,28 @@ class TestMainEntry:
         _, rows = read_csv(out_file)
         assert rows[-1][2] == 1.0
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("sweep-time", "stepz = 5\n", "stepz"),
+            ("sweep-time", "x = 1,2\n", "x"),
+            ("sweep-strength", "n = 0.5\nsamples = 3\n", "samples"),
+            ("sweep-time", "default_n = 3\n", "default-n"),
+            ("validate", "samples = 2\nsteps = 3\n", "steps"),
+        ],
+    )
+    def test_unknown_config_key_exits_2_and_keeps_an_existing_csv(self, tmp_path, capsys, command, text, key):
+        config = tmp_path / "typo.cfg"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"n,r\n1,2\n")
+        argv = [command, "--config", str(config)] + (["--out", str(out)] if command != "validate" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config {config}: {key} is not a {command} option\n"
+        assert captured.out == ""
+        assert out.read_bytes() == b"n,r\n1,2\n"
+
     def test_bad_flag_values_exit_2(self, tmp_path, capsys):
         assert main(["sweep-time", "--n", "abc", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["sweep-time", "--steps", "1", "--out", str(tmp_path / "x.csv")]) == 2

@@ -21,7 +21,7 @@ from thermomin import (
     validate_state,
 )
 from thermomin import dynamics
-from thermomin.dynamics import MAX_STEPS, SUDDEN_DEATH_HORIZON, _rhs_superoperator, _taylor_step
+from thermomin.dynamics import MAX_STEPS, SUDDEN_DEATH_HORIZON, SUDDEN_DEATH_XTOL, _rhs_superoperator, _taylor_step
 
 from _helpers import ginibre_state
 
@@ -331,30 +331,86 @@ class TestSuddenDeath:
         with pytest.raises(ValueError, match="scan_step must be finite and > 0"):
             sudden_death_time(ModelParams(n=1.0, r=1.0), scan_step=scan_step)
 
-    def test_equals_the_scalar_scan_bitwise(self):
-        # The roots lie in the first scan block, past it, and (n = 0.001,
-        # about 1,070 scan times at the default step) several blocks on; at
-        # scan_step 0.00121 the first time past the n = 1 root is the 257th,
-        # the first of the second block.
+    def test_agrees_with_the_scalar_scan(self):
+        # The scalar scan and bisection is the second route; at n = 0.001 its
+        # scan takes about 1,070 default steps to reach the root.
         cases = [(1.0, 1.0, 0.005), (0.001, 1.0, 0.005), (0.02, 0.9, 0.005), (0.4, 0.6, 0.013), (2.5, 0.35, 1e-4)]
         cases += [(1.0, 1.0, 0.00121)]
         for n, r, scan_step in cases:
             p = ModelParams(n=n, r=r)
-            assert sudden_death_time(p, scan_step) == scalar_sudden_death_time(p, scan_step)
+            assert abs(sudden_death_time(p, scan_step) - scalar_sudden_death_time(p, scan_step)) <= SUDDEN_DEATH_XTOL
 
-
-    def test_bisection_evaluates_midpoint_trees(self, monkeypatch):
-        # Roots in the first scan block: one call at t = 0, one scan block,
-        # then one call per _BISECT_DEPTH halvings instead of one per halving.
+    def test_gap_calls_per_verdict(self, monkeypatch):
         gap = dynamics._entanglement_gap
-        for n, r, scan_step in ((1.0, 1.0, 0.005), (0.4, 0.6, 0.013), (2.5, 0.35, 1e-3), (0.3, 0.8, 0.05)):
-            p = ModelParams(n=n, r=r)
-            calls = []
-            monkeypatch.setattr(dynamics, "_entanglement_gap", lambda p, t: calls.append(len(t)) or gap(p, t))
-            assert sudden_death_time(p, scan_step) == scalar_sudden_death_time(p, scan_step)
-            assert len(calls) <= 8
-            assert calls[:2] == [1, dynamics._SCAN_BLOCK]
-            assert calls[2:] == [2**dynamics._BISECT_DEPTH - 1] * (len(calls) - 2)
+        calls = []
+        monkeypatch.setattr(dynamics, "_entanglement_gap", lambda p, t: calls.append(len(t)) or gap(p, t))
+        for n, r in ((1.0, 1.0), (0.001, 1.0), (0.4, 0.6), (2.5, 0.35), (0.3, 0.8), (1e3, 1e-8)):
+            calls.clear()
+            assert sudden_death_time(ModelParams(n=n, r=r)) > 0.0
+            assert len(calls) <= 7
+            assert calls == [2] + [63] * (len(calls) - 1)
+        calls.clear()
+        assert sudden_death_time(ModelParams(n=1.0, r=0.0)) is None
+        with pytest.raises(NoBracket):
+            sudden_death_time(ModelParams(n=0.0, r=1.0))
+        assert calls == [2, 2]
+
+    def test_gap_never_revives(self):
+        # The search's premise: once the exact state's concurrence is zero it
+        # stays zero, as for any local channel acting on both atoms.
+        rng = np.random.default_rng(16)
+        pairs = list(zip(rng.uniform(0.0, 3.0, 80), rng.uniform(0.0, 1.0, 80)))
+        pairs += [(n, r) for n in (0.0, 1e-3, 10.0, 1e3) for r in (1e-300, 1e-8, 0.5, 0.83, 1.0)]
+        pairs += [(n, (n + 1.0) / (2.0 * n + 1.0) * (1.0 - d)) for n in (0.5, 1.0, 3.0) for d in (0.0, 1e-8, 1e-4)]
+        times = np.linspace(0.0, SUDDEN_DEATH_HORIZON, 20_001)
+        for n, r in pairs:
+            dead = dynamics._entanglement_gap(ModelParams(n=float(n), r=float(r)), times) <= 0.0
+            assert not (dead[:-1] & ~dead[1:]).any(), (n, r)
+
+    def test_general_concurrence_changes_sign_at_the_root(self):
+        rng = np.random.default_rng(17)
+        for n, r in zip(rng.uniform(0.02, 3.0, 600), rng.uniform(0.05, 1.0, 600)):
+            p = ModelParams(n=float(n), r=float(r))
+            t_sd = sudden_death_time(p)
+            assert concurrence(analytic_state_at(p, t_sd * (1.0 - 1e-3))) > 0.0, (n, r)
+            assert concurrence(analytic_state_at(p, t_sd * (1.0 + 1e-3))) == 0.0, (n, r)
+
+    # Verdicts of the earlier scan-and-bisect search (0.005 scan step). For
+    # tiny r the root lies within SUDDEN_DEATH_XTOL of 0; at r = 5e-324 the
+    # coherence r/2 rounds to 0, so the start is unentangled.
+    @pytest.mark.parametrize(
+        "n, r, expected",
+        [(0.0, 1e-8, 2.086162567138672e-09), (0.5, 1e-8, 1.4901161193847657e-09), (3.0, 1e-8, 2.9802322387695313e-10)]
+        + [(n, r, 2.9802322387695313e-10) for n in (0.0, 0.5, 3.0) for r in (1e-10, 1e-100, 1e-300)]
+        + [(n, 5e-324, None) for n in (0.0, 0.5, 3.0)],
+    )
+    def test_tiny_r_verdicts(self, n, r, expected):
+        t_sd = sudden_death_time(ModelParams(n=n, r=r))
+        assert t_sd is None if expected is None else abs(t_sd - expected) <= SUDDEN_DEATH_XTOL
+
+    # The same at r = (n + 1)/(2n + 1) (1 + d), where the leading coefficient
+    # of the death condition, a quartic in exp(-(2n + 1) t), vanishes; at
+    # n = 0 that r is 1 and there is no root.
+    @pytest.mark.parametrize(
+        "n, roots",
+        [
+            (0.0, {-1e-4: NoBracket, -1e-8: NoBracket, 0.0: NoBracket}),
+            (0.5, {-1e-4: 0.30166822940111165, -1e-8: 0.3017280450463296, 0.0: 0.3017280510067941,
+                   1e-8: 0.30172805756330506, 1e-4: 0.3017878767848016}),
+            (1.0, {-1e-4: 0.16105175107717518, -1e-8: 0.16108027845621115, 0.0: 0.16108028143644337,
+                   1e-8: 0.1610802844166756, 1e-4: 0.16110881358385093}),
+            (3.0, {-1e-4: 0.056310456097126003, -1e-8: 0.0563192930817604, 0.0: 0.05631929367780685,
+                   1e-8: 0.05631929486989975, 1e-4: 0.0563281324505806}),
+        ],
+    )
+    def test_verdicts_where_the_quartic_degenerates(self, n, roots):
+        for d, expected in roots.items():
+            p = ModelParams(n=n, r=(n + 1) / (2 * n + 1) * (1 + d))
+            if expected is NoBracket:
+                with pytest.raises(NoBracket):
+                    sudden_death_time(p)
+            else:
+                assert abs(sudden_death_time(p) - expected) <= SUDDEN_DEATH_XTOL
 
 
 class TestTrajectoryMeasures:
