@@ -225,6 +225,26 @@ def _check_rk4_agreement(lines):
     return worst
 
 
+def _post_state_contracts(rho, ds, xs):
+    """Largest deviations over states rho[i], each measured along ds[i] at strength xs[i], of the projective
+    map's idempotence, the weak pair's normalization K+^dag K+ + K-^dag K- = 1, the identity
+    rho - Omega = (1 - 2 t1 t2)(rho - post), and the limits x = 0 (rho) and x = 30 (post)."""
+    rho = qstate.validate_state(np.array(rho))
+    ms = np.array([d.unit_vector() for d in ds])[:, None]
+    w0, w30 = measures.WeakStrength(0.0), measures.WeakStrength(30.0)
+    t = np.array([[(0.0, 1.0), (w.t1, w.t2), (w0.t1, w0.t2), (w30.t1, w30.t2)] for w in map(measures.WeakStrength, xs)])
+    # One map call: each state's projective, weak, x = 0 and x = 30 post-states.
+    maps = oracle._post_states(rho[:, None], ms[:, None], t[..., 0], t[..., 1])[:, :, 0]
+    post, omega, still, full = maps.swapaxes(0, 1)
+    twice = oracle._post_states(qstate.validate_state(post), ms, 0.0, 1.0)[:, 0]
+    p1, p2 = oracle._projectors(ms[:, 0])
+    a, b = t[:, 1, 0, None, None], t[:, 1, 1, None, None]
+    k = np.array([a * p1 + b * p2, b * p1 + a * p2])
+    norm = (k.conj().swapaxes(-1, -2) @ k).sum(axis=0) - qstate.ID2
+    ident = (rho - omega) - (1.0 - 2.0 * a * b) * (rho - post)
+    return tuple(float(np.abs(d).max()) for d in (twice - post, norm, ident, np.array([still - rho, full - post])))
+
+
 def _trajectory_direct_samples():
     """(50, 4, 4) stack: five times on each of ten exact trajectories."""
     times = np.array([0.25, 0.8, 1.5, 2.5, 4.0])
@@ -308,7 +328,7 @@ def run_validation(sample_count: int = 20, seed: int = 7):
 
     states = _random_states(rng, 50)
     traceless = states - np.trace(states, axis1=-2, axis2=-1)[:, None, None] / 4.0 * np.eye(4)
-    ok = all(qstate.trace_norm(a) >= math.sqrt(qstate.hs_norm_sq(a)) - 1e-12 for a in traceless)
+    ok = bool(np.all(qstate.trace_norm(traceless) >= np.sqrt(qstate.hs_norm_sq(traceless)) - 1e-12))
     red = qstate.partial_trace(states, "b")
     ok = ok and bool(np.all(np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0) <= 1e-12))
     record(ok, "trace_norm >= hs norm and trace-preserving reductions (50 states)")
@@ -341,25 +361,12 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     ok = ok and abs(measures.weak_factor(measures.WeakStrength(30.0)) - 1.0) <= 1e-12
     record(ok, "weak factor strictly increasing, f(0) = 1/2, f(30) = 1")
 
-    dev_idem = dev_norm = dev_ident = dev_limit = 0.0
-    for _ in range(15):
-        rho = _random_states(rng, 1)[0]
-        d = oracle.direction_from_vector(rng.normal(size=3))
-        w = measures.WeakStrength(float(rng.uniform(0.0, 3.0)))
-        post = oracle.projective_post_state(rho, d)
-        dev_idem = max(dev_idem, float(np.max(np.abs(oracle.projective_post_state(post, d) - post))))
-        p1, p2 = d.projectors()
-        plus = w.t1 * p1 + w.t2 * p2
-        minus = w.t2 * p1 + w.t1 * p2
-        dev_norm = max(
-            dev_norm,
-            float(np.max(np.abs(plus.conj().T @ plus + minus.conj().T @ minus - qstate.ID2))),
-        )
-        omega = oracle.weak_post_state(rho, d, w)
-        factor = 1.0 - 2.0 * w.t1 * w.t2
-        dev_ident = max(dev_ident, float(np.max(np.abs((rho - omega) - factor * (rho - post)))))
-        dev_limit = max(dev_limit, float(np.max(np.abs(oracle.weak_post_state(rho, d, measures.WeakStrength(0.0)) - rho))))
-        dev_limit = max(dev_limit, float(np.max(np.abs(oracle.weak_post_state(rho, d, measures.WeakStrength(30.0)) - post))))
+    # Drawn one (state, direction, strength) at a time, then checked as one stack.
+    draws = [
+        (_random_states(rng, 1)[0], oracle.direction_from_vector(rng.normal(size=3)), float(rng.uniform(0.0, 3.0)))
+        for _ in range(15)
+    ]
+    dev_idem, dev_norm, dev_ident, dev_limit = _post_state_contracts(*zip(*draws))
     record(
         dev_idem <= 1e-12 and dev_norm <= 1e-14 and dev_ident <= 1e-13 and dev_limit <= 1e-12,
         f"post-state contracts: idempotence {dev_idem:.2e}, operator normalization {dev_norm:.2e}, "
@@ -383,12 +390,10 @@ def run_validation(sample_count: int = 20, seed: int = 7):
     rho = dynamics.analytic_state_at(dynamics.ModelParams(n=0.5, r=0.5), 1.0)
     n2 = oracle.brute_force_hs_min(rho)
     n1 = oracle.brute_force_trace_min(rho)
-    worst_ratio_dev = 0.0
-    for x in (0.5, 1.0, 2.0):
-        w = measures.WeakStrength(x)
-        expected = (1.0 - 2.0 * w.t1 * w.t2) ** 2
-        ratio = oracle.brute_force_weak_min(rho, w, "hs") / n2
-        worst_ratio_dev = max(worst_ratio_dev, abs(ratio - expected))
+    worst_ratio_dev = max(
+        abs(oracle.brute_force_weak_min(rho, w, "hs") / n2 - (1.0 - 2.0 * w.t1 * w.t2) ** 2)
+        for w in map(measures.WeakStrength, (0.5, 1.0, 2.0))
+    )
     record(
         worst_ratio_dev <= 1e-6,
         f"direct maximization ratio |rho-Omega|_2^2 / N2 equals (1-2 t1 t2)^2: "

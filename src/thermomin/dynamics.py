@@ -8,6 +8,7 @@ units gamma*t; the decay rate gamma enters only the raw generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import exp, expm1, isfinite, sqrt
 
@@ -148,27 +149,40 @@ def lindblad_rhs(p: ModelParams, rho) -> np.ndarray:
     excitation channel at rate gamma*n, in Lindblad form; the result is
     Hermitian and traceless.
     """
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    down = 0.5 * p.gamma * (p.n + 1.0)
-    up = 0.5 * p.gamma * p.n
+    return _rated_sum(p, _dissipators(np.asarray(rho, dtype=complex)))
+
+
+def _dissipators(rho):
+    """The rate-free terms 2 a rho b - (b a) rho - rho (b a) of each atom's decay
+    (a lowers) and excitation (a raises) channel, in lindblad_rhs's order."""
     for raise_op, lower_op in _LADDERS:
-        num = raise_op @ lower_op
-        nlo = lower_op @ raise_op
-        out += down * (2.0 * lower_op @ rho @ raise_op - num @ rho - rho @ num)
-        out += up * (2.0 * raise_op @ rho @ lower_op - nlo @ rho - rho @ nlo)
-    return out
+        for a, b in ((lower_op, raise_op), (raise_op, lower_op)):
+            yield 2.0 * a @ rho @ b - (b @ a) @ rho - rho @ (b @ a)
+
+
+def _rated_sum(p: ModelParams, terms) -> np.ndarray:
+    """The _dissipators terms times their rates gamma (n + 1) / 2 and gamma n / 2, summed from zero."""
+    down, up = 0.5 * p.gamma * (p.n + 1.0), 0.5 * p.gamma * p.n
+    return sum(rate * term for rate, term in zip((down, up, down, up), terms))
+
+
+@functools.cache
+def _basis_dissipators():
+    """The (4, 16, 4, 4) _dissipators terms of the 16 basis matrices, built on first use and kept read-only."""
+    parts = np.array(list(_dissipators(np.eye(16, dtype=complex).reshape(16, 4, 4))))
+    parts.flags.writeable = False
+    return parts
 
 
 def _rhs_superoperator(p: ModelParams) -> np.ndarray:
-    """16x16 matrix acting on row-major vectorized states: lindblad_rhs of the 16 basis matrices, by linearity."""
-    return lindblad_rhs(p, np.eye(16, dtype=complex).reshape(16, 4, 4)).reshape(16, 16).T
+    """16x16 matrix acting on row-major vectorized states: lindblad_rhs of the
+    16 basis matrices, by linearity, from their rate-free terms built once."""
+    return _rated_sum(p, _basis_dissipators()).reshape(16, 16).T
 
 
 def _taylor_step(a: np.ndarray) -> np.ndarray:
     """Truncated Taylor polynomial sum_{j <= INTEGRATOR_ORDER} a^j / j! of exp(a)."""
-    step = np.eye(len(a), dtype=complex)
-    term = step
+    step = term = np.eye(len(a), dtype=complex)
     for j in range(1, INTEGRATOR_ORDER + 1):
         term = term @ a / j
         step = step + term
@@ -190,11 +204,12 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     steps is the number of steps taken (default 100 per unit of scaled
     time), at most MAX_STEPS, which is checked before the trajectory is
     allocated; there is no substepping. The step matrix S and its powers
-    S^2, ..., S^50 are formed once, and the trajectory advances 50 stored states
-    at a time, as one batched product of those powers with the last stored
-    state; in exact arithmetic each stored state is still one Taylor step
-    from the one before it. Every stored state is symmetrized and
-    trace renormalized, and checked against the integrator positivity
+    S^2, ..., S^50 are formed once, and the trajectory advances 50 stored
+    states at a time, as one matrix-vector product of those powers' stacked
+    rows with the last stored state, written straight into the trajectory;
+    in exact arithmetic each stored state is still one Taylor step from the
+    one before it. Every stored state is symmetrized and trace renormalized
+    in place, and checked against the integrator positivity
     slack: a state with an eigenvalue below -1e-8, or with an entry that is
     not finite, raises StepTooLarge naming the first such step; for a state
     that is not finite it also names h (2n+1), the step in units of the
@@ -222,10 +237,11 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
         for j in range(1, len(powers)):
             powers[j] = step @ powers[j - 1]
         for k in range(0, steps, len(powers)):
-            m = min(len(powers), steps - k)
-            block = (powers[:m] @ states[k].reshape(-1)).reshape(m, 4, 4)
-            block = 0.5 * (block + block.conj().swapaxes(-1, -2))
-            states[k + 1 : k + 1 + m] = block / np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
+            block = states[k + 1 : k + 1 + len(powers)]
+            np.matmul(powers[: len(block)].reshape(-1, 16), states[k].reshape(-1), out=block.reshape(-1))
+            block += block.conj().swapaxes(-1, -2)
+            block *= 0.5
+            block /= np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
     _check_steps(states[1:], times[1:], h * (2.0 * p.n + 1.0))
     return Trajectory(times=times, states=states)
 

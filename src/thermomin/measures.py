@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import SIGMA_Y, BlochRep, _bloch, _raise_first, hermitian_eigensystem, matrix_sqrt_psd, validate_state
+from .qstate import SIGMA_Y, BlochRep, _bloch, _out, _raise_first, hermitian_eigensystem, matrix_sqrt_psd, validate_state
 
 # Below this Bloch-vector norm |x| (the eigenvalue gap) subsystem a's marginal
 # counts as degenerate and the measurement direction becomes a free variable:
@@ -88,11 +88,6 @@ class MeasureReport:
     N1: float | np.ndarray
     N2W: float | np.ndarray
     N1W: float | np.ndarray
-
-
-def _out(values: np.ndarray):
-    """A Python float for a single state, the array itself for a stack."""
-    return float(values) if values.ndim == 0 else values
 
 
 def _sum3(a: np.ndarray) -> np.ndarray:

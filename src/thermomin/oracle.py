@@ -11,41 +11,28 @@ The values are maximized over measurement directions by definition.
 Each direction's disturbance D = rho - Omega(rho) is formed explicitly
 as a 4x4 matrix by the same product, with the state terms scaled by the
 coefficients of the identity minus the map. Its Hilbert-Schmidt norm is
-the sum of its squared entries, read in the natural order (a b, a' b').
-Its trace norm comes from the 2x2 block that D holds between the two
-eigenvectors of m.sigma, with weights in closed form in m: S D S = -D
-makes D block off-diagonal in that basis (see ``_trace_norms``), and on
-seeded states the block norm matches the sum of |eigenvalues| of D to
-1.1e-15. For the trace norm the state terms are regrouped once per call
-into 2x2 block order (a a', b b') (see ``_block_order``), so the product
-lands with the rows aa' of every block side by side and no pass regroups
-its disturbances; the values are bitwise those of the natural order
-regrouped pass by pass. So the oracle takes no matrix spectrum at all and
-shares no solver with ``measures``; the cross-check rests on two
-different algorithms: explicit post-measurement states, entrywise norms
-and a direct maximization here, closed formulas on the Bloch data with
-LAPACK singular values and eigenvalues there.
+the sum of its squared entries. Its trace norm comes from the 2x2 block
+that D holds between the eigenvectors of m.sigma, with weights in closed
+form in m, read from terms put once into 2x2 block order (see
+``_trace_norms`` and ``_block_order``). So the oracle takes no matrix
+spectrum and shares no solver with ``measures``: explicit post-measurement
+states, entrywise norms and a direct maximization here, closed formulas on
+the Bloch data with LAPACK singular values and eigenvalues there.
 
-Measurements that preserve the marginal of subsystem a: when the marginal
-is non-degenerate only the measurement along its Bloch vector x (its
-eigenbasis) qualifies and the value is computed directly; when it is
-degenerate, |x| < MARGINAL_EPS as in ``measures``, every direction
-qualifies and a theta/phi grid search with one local refinement pass
-takes over. Measuring along m and along -m is the same measurement (P1
-and P2 swap, and so do K+ and K-), so the coarse grid covers the upper
-hemisphere only: the full theta/phi grid is closed under antipodes, and
-the half left out repeats the disturbances of the half searched (see
-``_coarse_grid``).
+Measurements that preserve the marginal of subsystem a: when it is
+non-degenerate only the one along its Bloch vector x qualifies and the
+value is computed directly; when it is degenerate, |x| < MARGINAL_EPS as
+in ``measures``, every direction qualifies and a theta/phi grid search
+with one local refinement pass takes over. Measuring along m and along -m
+is the same measurement, so the coarse grid covers the upper hemisphere
+only (see ``_coarse_grid``).
 
 Every ``brute_force_*`` function takes one 4x4 state, for which it returns
 a float, or a (..., 4, 4) stack, for which it returns an array of the
-leading shape, as in ``measures``. The stack is validated once. Its
-non-degenerate states take one batched product, each along its own
-direction. Its degenerate states share one coarse grid search: each pass
-builds its direction columns once and multiplies them with the terms of
-all those states side by side, so ``_CHUNK`` counts the (direction,
-state) pairs of a pass; the refinement passes batch states the same way.
-A state gets bitwise the same value in a stack as alone.
+leading shape, validated once. Its non-degenerate states take one batched
+product, each along its own direction; its degenerate states share the
+passes of one grid search (see ``_grid_maximize``). A state gets bitwise
+the same value in a stack as alone.
 """
 
 from __future__ import annotations
@@ -62,11 +49,9 @@ from .qstate import ID2, PAULIS, validate_state
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
 # (direction, state) pairs per pass of a grid search. A pass's disturbances
-# take 256 KB at 1000 pairs, 32 real entries each, and its trace-norm
-# temporaries about as much again: the tracemalloc peak of a validate call
-# is 1.0 MB, against 1.7 MB at 2000 pairs and 3.5 MB at 4000, with the same
-# call time to within noise from 1000 to 3000 pairs. A state's value does
-# not depend on the pass it is computed in.
+# take 256 KB at 1000 pairs and its trace-norm temporaries about as much
+# again; 1000 to 3000 pairs take the same time to within noise. A state's
+# value does not depend on the pass it is computed in.
 _CHUNK = 1000
 
 # sigma_k x I, the Paulis acting on subsystem a.
@@ -92,9 +77,14 @@ class MeasurementDirection:
 
     def projectors(self):
         """Orthogonal 2x2 projectors (1 +- m.sigma)/2 summing to the identity."""
-        m = self.unit_vector()
-        p1 = 0.5 * (ID2 + m[0] * PAULIS[0] + m[1] * PAULIS[1] + m[2] * PAULIS[2])
-        return p1, ID2 - p1
+        return _projectors(self.unit_vector())
+
+
+def _projectors(ms):
+    """The projectors (1 +- m.sigma)/2, (..., 2, 2) each, of unit vectors ms (..., 3)."""
+    m = ms[..., None, None]
+    p1 = 0.5 * (ID2 + m[..., 0, :, :] * PAULIS[0] + m[..., 1, :, :] * PAULIS[1] + m[..., 2, :, :] * PAULIS[2])
+    return p1, ID2 - p1
 
 
 def direction_from_vector(m) -> MeasurementDirection:
@@ -110,12 +100,12 @@ def direction_from_vector(m) -> MeasurementDirection:
 
 def projective_post_state(rho, d: MeasurementDirection) -> np.ndarray:
     """Apply the local projective measurement on subsystem a and discard outcomes."""
-    return _post_states(validate_state(rho), d.unit_vector()[None], 0.0, 1.0)[0]
+    return _post_states(validate_state(rho)[None], d.unit_vector()[None, None], 0.0, 1.0)[0, 0]
 
 
 def weak_post_state(rho, d: MeasurementDirection, w: WeakStrength) -> np.ndarray:
     """Two-outcome weak measurement on subsystem a: P(+) rho P(+) + P(-) rho P(-)."""
-    return _post_states(validate_state(rho), d.unit_vector()[None], w.t1, w.t2)[0]
+    return _post_states(validate_state(rho)[None], d.unit_vector()[None, None], w.t1, w.t2)[0, 0]
 
 
 def _marginal_direction(rho):
@@ -168,20 +158,24 @@ def _kraus_columns(ms) -> np.ndarray:
     return cols
 
 
-def _post_states(rho, ms, t1: float, t2: float) -> np.ndarray:
-    """K+ rho K+ + K- rho K- on subsystem a for each unit direction in ms (shape (k, 3)).
+def _post_states(rho, ms, t1, t2) -> np.ndarray:
+    """K+ rho K+ + K- rho K- on subsystem a, (..., k, 4, 4), for a state or a
+    (..., 4, 4) stack, each along its own unit directions ms (..., k, 3).
 
-    The Kraus pair is K+ = t1 P1 + t2 P2 and K- = t2 P1 + t1 P2 with
-    P1, P2 = (1 +- m.sigma)/2; (t1, t2) = (0, 1) is the projective
-    measurement, the weak one takes the amplitudes of its WeakStrength.
+    K+ = t1 P1 + t2 P2 and K- = t2 P1 + t1 P2 with P1, P2 = (1 +- m.sigma)/2;
+    (0, 1) is projective. The leading axes of rho, ms and of the arrays or
+    floats t1, t2 broadcast.
     With S = (m.sigma) x I the pair is K+- = a I +- b S, a, b = (t1 +- t2)/2,
-    so the cross terms a b (S rho + rho S) cancel in the sum and the map is
-    exactly 2 a^2 rho + 2 b^2 S rho S, where S rho S is the sum over k, l of
-    m_k m_l (sigma_k x I) rho (sigma_l x I). The nine sandwiches are formed
-    once; all directions then take one real (k, 10) @ (10, 32) product.
+    so the cross terms cancel and the map is exactly 2 a^2 rho + 2 b^2 S rho S,
+    with S rho S the sum of m_k m_l (sigma_k x I) rho (sigma_l x I): one real
+    (k, 10) @ (10, 32) product per state of its columns and terms.
     """
-    terms = _kraus_terms(rho, 0.5 * (t1 + t2) ** 2, 0.5 * (t1 - t2) ** 2)
-    return (_kraus_columns(ms) @ terms).view(complex).reshape(-1, 4, 4)
+    t1, t2 = np.broadcast_arrays(t1, t2)
+    # Python float arithmetic: numpy's square differs from ** in the last bit on some floats.
+    c = np.array([(0.5 * (a + b) ** 2, 0.5 * (a - b) ** 2) for a, b in zip(t1.ravel().tolist(), t2.ravel().tolist())])
+    terms = _kraus_terms(rho, *c.T.reshape((2,) + t1.shape + (1, 1)))
+    product = _kraus_columns(ms.reshape(-1, 3)).reshape(ms.shape[:-1] + (10,)) @ terms
+    return product.view(complex).reshape(product.shape[:-1] + (4, 4))
 
 
 def _trace_norms(blocks, ms) -> np.ndarray:
@@ -268,11 +262,16 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
     block-ordered terms, (aa', state, bb'), so that the product reshapes to
     the (k, 4, 4 S) blocks of ``_trace_norms`` as a view. The best value and
     cell of each state run across the passes, keeping the first cell on ties
-    as one argmax over the whole grid would.
+    as one argmax over the whole grid would. A pass holds at most _CHUNK
+    (direction, state) pairs, so more than _CHUNK // 2 states, past which two
+    directions would exceed it, are searched in slices of that many.
     """
+    count = len(terms)
+    half = max(1, _CHUNK // 2)
+    if count > half:
+        return np.concatenate([_grid_maximize(terms[i : i + half], norm) for i in range(0, count, half)])
     g = GRID_RESOLUTION
     tt, pp, ms = _coarse_grid()
-    count = len(terms)
     rows = 4 if norm == "trace" else 1
     wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
     best = np.full(count, -np.inf)
@@ -290,15 +289,15 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
         better = top_values > best
         best[better] = top_values[better]
         cell[better] = i + top[better]
-    # One refinement pass at 10x resolution around each state's best cell.
-    dt = math.pi / (g - 1)
-    dp = 2.0 * math.pi / (2 * g)
-    fine_t = np.clip(tt[cell, None] + np.linspace(-dt, dt, 2 * REFINE_FACTOR + 1), 0.0, math.pi)
-    fine_p = (pp[cell, None] + np.linspace(-dp, dp, 2 * REFINE_FACTOR + 1)) % (2.0 * math.pi)
-    _, _, ms_fine = _direction_batch(fine_t, fine_p)
-    per_pass = max(1, _CHUNK // ms_fine.shape[1])
+    # One refinement pass at 10x resolution around each state's best cell,
+    # its directions built pass by pass.
+    dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * REFINE_FACTOR + 1)
+    dp = np.linspace(-math.pi / g, math.pi / g, 2 * REFINE_FACTOR + 1)
+    per_pass = max(1, _CHUNK // len(dt) ** 2)
     for i in range(0, count, per_pass):
-        fine = _own_direction_values(terms[i : i + per_pass], ms_fine[i : i + per_pass], norm)
+        here = cell[i : i + per_pass, None]
+        _, _, ms_fine = _direction_batch(np.clip(tt[here] + dt, 0.0, math.pi), (pp[here] + dp) % (2.0 * math.pi))
+        fine = _own_direction_values(terms[i : i + per_pass], ms_fine, norm)
         np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
     return best
 

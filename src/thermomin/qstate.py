@@ -62,11 +62,9 @@ def _as_stack(m) -> np.ndarray:
     return a
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = _as_stack(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+def _out(values: np.ndarray):
+    """A Python float for a single matrix or state, the array itself for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
 def _raise_first(bad: np.ndarray, exc: type, message: str, values: np.ndarray):
@@ -203,12 +201,14 @@ def bloch_compose(b: BlochRep) -> np.ndarray:
     return validate_state((ID4 + np.tensordot(v, _PAULI_BASIS, axes=1)) / 4.0)
 
 
-def hs_norm_sq(m) -> float:
-    """Squared Hilbert-Schmidt norm, the sum of squared entry magnitudes."""
-    a = _as_matrix(m)
-    return float(np.vdot(a, a).real)
+def hs_norm_sq(m):
+    """Squared Hilbert-Schmidt norm, the sum of squared entry magnitudes; a
+    float for one matrix, an array of the leading shape for a (..., k, k) stack."""
+    f = np.ascontiguousarray(_as_stack(m)).view(float)
+    return _out(np.einsum("...ij,...ij->...", f, f))
 
 
-def trace_norm(m) -> float:
-    """Trace norm, the sum of singular values."""
-    return float(np.linalg.svd(_as_matrix(m), compute_uv=False).sum())
+def trace_norm(m):
+    """Trace norm, the sum of singular values; a float for one matrix, an
+    array of the leading shape for a stack."""
+    return _out(np.linalg.svd(_as_stack(m), compute_uv=False).sum(axis=-1))

@@ -26,6 +26,8 @@ from thermomin.cli import (
     SweepConfig,
     _cells,
     _measures_on_grid,
+    _post_state_contracts,
+    _random_states,
     _states_on_grid,
     main,
     run_strength_sweep,
@@ -434,6 +436,45 @@ class TestValidateCommand:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(InvalidConfig):
             run_validation(sample_count=0, seed=1)
+
+
+def looped_contracts(draws):
+    """The post-state contracts of validate, one (state, direction, strength)
+    at a time, each map one 2-d (1, 10) @ (10, 32) product."""
+
+    def post(rho, d, t1, t2):
+        terms = oracle._kraus_terms(oracle.validate_state(rho), 0.5 * (t1 + t2) ** 2, 0.5 * (t1 - t2) ** 2)
+        return (oracle._kraus_columns(d.unit_vector()[None]) @ terms).view(complex).reshape(4, 4)
+
+    dev_idem = dev_norm = dev_ident = dev_limit = 0.0
+    for rho, d, x in draws:
+        w = WeakStrength(x)
+        proj = post(rho, d, 0.0, 1.0)
+        dev_idem = max(dev_idem, float(np.max(np.abs(post(proj, d, 0.0, 1.0) - proj))))
+        p1, p2 = d.projectors()
+        plus = w.t1 * p1 + w.t2 * p2
+        minus = w.t2 * p1 + w.t1 * p2
+        dev_norm = max(dev_norm, float(np.max(np.abs(plus.conj().T @ plus + minus.conj().T @ minus - np.eye(2)))))
+        omega = post(rho, d, w.t1, w.t2)
+        factor = 1.0 - 2.0 * w.t1 * w.t2
+        dev_ident = max(dev_ident, float(np.max(np.abs((rho - omega) - factor * (rho - proj)))))
+        for x_limit, target in ((0.0, rho), (30.0, proj)):
+            limit = WeakStrength(x_limit)
+            dev_limit = max(dev_limit, float(np.max(np.abs(post(rho, d, limit.t1, limit.t2) - target))))
+    return dev_idem, dev_norm, dev_ident, dev_limit
+
+
+@pytest.mark.parametrize("seed", range(13))
+def test_stacked_post_state_contracts_equal_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    draws = [
+        (_random_states(rng, 1)[0], oracle.direction_from_vector(rng.normal(size=3)), float(rng.uniform(0.0, 3.0)))
+        for _ in range(15)
+    ]
+    devs = _post_state_contracts(*zip(*draws))
+    assert all(type(v) is float for v in devs)
+    assert devs == looped_contracts(draws)
+    assert all(v <= tol for v, tol in zip(devs, (1e-12, 1e-14, 1e-13, 1e-12)))
 
 
 class TestMainEntry:

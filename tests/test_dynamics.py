@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -24,6 +25,45 @@ from thermomin import dynamics
 from thermomin.dynamics import MAX_STEPS, SUDDEN_DEATH_HORIZON, SUDDEN_DEATH_XTOL, _rhs_superoperator, _taylor_step
 
 from _helpers import ginibre_state
+
+
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+ID2 = np.eye(2, dtype=complex)
+
+
+def looped_rhs(p, rho):
+    """The thermal generator as a loop over both atoms' decay and excitation
+    channels, each term formed and added to a zero start in turn."""
+    out = np.zeros_like(rho)
+    down = 0.5 * p.gamma * (p.n + 1.0)
+    up = 0.5 * p.gamma * p.n
+    for raise_op in (np.kron(SIGMA_PLUS, ID2), np.kron(ID2, SIGMA_PLUS)):
+        lower_op = raise_op.T.copy()
+        num = raise_op @ lower_op
+        nlo = lower_op @ raise_op
+        out += down * (2.0 * lower_op @ rho @ raise_op - num @ rho - rho @ num)
+        out += up * (2.0 * raise_op @ rho @ lower_op - nlo @ rho - rho @ nlo)
+    return out
+
+
+def batched_blocks(p, t_max, steps):
+    """integrate's trajectory, without its check, from blocks of up to 50
+    states formed as batched (m, 16, 16) @ (16,) products of the step powers
+    and then symmetrized and renormalized out of place."""
+    generator = looped_rhs(p, np.eye(16, dtype=complex).reshape(16, 4, 4)).reshape(16, 16).T
+    step = _taylor_step(t_max / steps * generator / p.gamma)
+    states = np.empty((steps + 1, 4, 4), dtype=complex)
+    states[0] = initial_state(p)
+    powers = np.empty((min(50, steps), 16, 16), dtype=complex)
+    powers[0] = step
+    for j in range(1, len(powers)):
+        powers[j] = step @ powers[j - 1]
+    for k in range(0, steps, len(powers)):
+        m = min(len(powers), steps - k)
+        block = (powers[:m] @ states[k].reshape(-1)).reshape(m, 4, 4)
+        block = 0.5 * (block + block.conj().swapaxes(-1, -2))
+        states[k + 1 : k + 1 + m] = block / np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
+    return states
 
 
 def scalar_elements(p, t):
@@ -189,6 +229,25 @@ class TestLindbladRhs:
             assert abs(np.trace(rhs)) <= 1e-12
             assert np.max(np.abs(rhs - rhs.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.3])
+    @pytest.mark.parametrize("n", [0.0, 0.3, 1.0, 1e3])
+    def test_superoperator_is_the_generator_of_the_basis_bitwise(self, n, gamma):
+        p = ModelParams(n=n, r=0.5, gamma=gamma)
+        basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
+        sup = _rhs_superoperator(p)
+        for rhs in (lindblad_rhs(p, basis), looped_rhs(p, basis)):
+            assert sup.tobytes() == rhs.reshape(16, 16).T.tobytes()
+        # The layout, which sets the BLAS calls of the Taylor step, is kept too.
+        assert sup.strides == lindblad_rhs(p, basis).reshape(16, 16).T.strides
+        parts = dynamics._basis_dissipators()
+        assert dynamics._basis_dissipators() is parts and not parts.flags.writeable
+
+    def test_generator_equals_the_channel_loop_bitwise(self):
+        rng = np.random.default_rng(33)
+        stack = np.array([ginibre_state(rng) for _ in range(8)])
+        for p in (ModelParams(n=0.0, r=0.5), ModelParams(n=0.7, r=0.5, gamma=1.3)):
+            assert lindblad_rhs(p, stack).tobytes() == looped_rhs(p, stack).tobytes()
+
     def test_superoperator_and_stack_match_single_states(self):
         rng = np.random.default_rng(32)
         p = ModelParams(n=0.7, r=0.5, gamma=1.3)
@@ -278,8 +337,16 @@ class TestIntegrate:
         traj = integrate(p, t_max, steps=steps)
         assert np.max(np.abs(traj.states - np.array(expected))) <= 1e-14
 
+    @pytest.mark.parametrize("steps", [7, 49, 50, 51, 123, 500, 4999])
+    @pytest.mark.parametrize("n, r, h", [(0.7, 0.6, 0.01), (0.0, 1.0, 0.02), (3.0, 0.3, 0.005)])
+    def test_in_place_blocks_equal_the_batched_reference_bitwise(self, n, r, h, steps):
+        p = ModelParams(n=n, r=r)
+        t_max = steps * h
+        assert integrate(p, t_max, steps=steps).states.tobytes() == batched_blocks(p, t_max, steps).tobytes()
+
     def test_giant_step_fails_loudly(self):
-        with pytest.raises(StepTooLarge):
+        message = "state at gamma*t = 5.000000 has eigenvalue -4.101e+04 below slack -1e-08; reduce the step size"
+        with pytest.raises(StepTooLarge, match=f"^{re.escape(message)}$"):
             integrate(ModelParams(n=1.0, r=1.0), 5.0, steps=1)
 
     @pytest.mark.parametrize(

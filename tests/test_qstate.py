@@ -229,6 +229,21 @@ class TestNorms:
             m = 1.7 * np.outer(v, v.conj())
             assert trace_norm(m) == pytest.approx(np.sqrt(hs_norm_sq(m)), abs=1e-10)
 
+    @pytest.mark.parametrize("shape", [(7, 4, 4), (2, 3, 4, 4), (5, 2, 2), (1, 3, 3)], ids=str)
+    def test_stack_matches_single_matrices_bitwise(self, shape):
+        rng = np.random.default_rng(19)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for norm in (hs_norm_sq, trace_norm):
+            values = norm(stack)
+            assert isinstance(values, np.ndarray) and values.shape == shape[:-2]
+            singles = [norm(m) for m in stack.reshape((-1,) + shape[-2:])]
+            assert all(type(v) is float for v in singles)
+            assert values.reshape(-1).tolist() == singles
+
+    def test_hs_norm_of_a_strided_view(self):
+        m = np.random.default_rng(20).normal(size=(4, 8)) + 0j
+        assert hs_norm_sq(m[:, ::2]) == pytest.approx(float(np.sum(np.abs(m[:, ::2]) ** 2)), rel=1e-15)
+
     def test_non_hermitian_singular_values(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
