@@ -14,7 +14,7 @@ from math import exp, expm1, isfinite, sqrt
 
 import numpy as np
 
-from .qstate import ID2, validate_state
+from .qstate import ID2, _psd_certified, validate_state
 
 INTEGRATOR_PSD_SLACK = -1e-8
 DEFAULT_STEPS_PER_UNIT_TIME = 100
@@ -201,23 +201,23 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     purpose: a matrix exponential would make this a second exact
     propagator instead of an independent check of the first.
 
-    steps is the number of steps taken (default 100 per unit of scaled
-    time), at most MAX_STEPS, which is checked before the trajectory is
-    allocated; there is no substepping. The step matrix S and its powers
-    S^2, ..., S^50 are formed once, and the trajectory advances 50 stored
-    states at a time, as one matrix-vector product of those powers' stacked
-    rows with the last stored state, written straight into the trajectory;
-    in exact arithmetic each stored state is still one Taylor step from the
-    one before it. Every stored state is symmetrized and trace renormalized
-    in place, and checked against the integrator positivity
-    slack: a state with an eigenvalue below -1e-8, or with an entry that is
-    not finite, raises StepTooLarge naming the first such step; for a state
-    that is not finite it also names h (2n+1), the step in units of the
-    decay time. The check runs as one batched eigenvalue solve over the
-    whole trajectory.
+    t_max must be finite and > 0. steps is the number of steps taken (default
+    100 per unit of scaled time), at most MAX_STEPS, which is checked before
+    the trajectory is allocated; there is no substepping. The step matrix S and
+    its powers S^2, ..., S^50 are formed once, and the trajectory advances 50
+    stored states at a time, as one matrix-vector product of those powers'
+    stacked rows with the last stored state, written straight into the
+    trajectory; in exact arithmetic each stored state is still one Taylor step
+    from the one before it. Every stored state is symmetrized and trace
+    renormalized in place, and checked against the integrator positivity slack:
+    a state with an eigenvalue below -1e-8, or with an entry that is not
+    finite, raises StepTooLarge naming the first such step; for a state that is
+    not finite it also names h (2n+1), the step in units of the decay time.
+    Only a trajectory that Gershgorin discs cannot certify (they certify every
+    step of the paper's X family) takes a batched eigvalsh.
     """
-    if not (t_max > 0.0):
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+    if not (isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_max))
     if not (1 <= steps <= MAX_STEPS):
@@ -250,6 +250,8 @@ def _check_steps(states: np.ndarray, times: np.ndarray, decay_step: float):
     """StepTooLarge at the first of states outside the integrator slack.
 
     decay_step is h (2n+1), named when the first such state is not finite."""
+    if _psd_certified(states, INTEGRATOR_PSD_SLACK):
+        return
     # The states before the first non-finite one are solved in place, as a
     # view: a masked copy would double the trajectory's memory.
     finite = np.isfinite(states).all(axis=(1, 2))

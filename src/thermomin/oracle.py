@@ -263,13 +263,10 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
     the (k, 4, 4 S) blocks of ``_trace_norms`` as a view. The best value and
     cell of each state run across the passes, keeping the first cell on ties
     as one argmax over the whole grid would. A pass holds at most _CHUNK
-    (direction, state) pairs, so more than _CHUNK // 2 states, past which two
-    directions would exceed it, are searched in slices of that many.
+    (direction, state) pairs once S is at most _CHUNK // 2, past which two
+    directions would exceed it; _brute_force passes slices of that many.
     """
     count = len(terms)
-    half = max(1, _CHUNK // 2)
-    if count > half:
-        return np.concatenate([_grid_maximize(terms[i : i + half], norm) for i in range(0, count, half)])
     g = GRID_RESOLUTION
     tt, pp, ms = _coarse_grid()
     rows = 4 if norm == "trace" else 1
@@ -307,17 +304,21 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
         raise ValueError("norm must be 'hs' or 'trace'")
     rho = validate_state(rho)
     t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
+
+    def terms_of(states):
+        terms = _kraus_terms(states, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+        return _block_order(terms) if norm == "trace" else terms
     flat = rho.reshape(-1, 4, 4)
-    terms = _kraus_terms(flat, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
-    if norm == "trace":
-        terms = _block_order(terms)
     ms, degenerate = _marginal_direction(flat)
     out = np.empty(len(flat))
     direct = ~degenerate
     if direct.any():
-        out[direct] = _own_direction_values(terms[direct], ms[direct, None], norm)[:, 0]
-    if degenerate.any():
-        out[degenerate] = _grid_maximize(terms[degenerate], norm)
+        out[direct] = _own_direction_values(terms_of(flat[direct]), ms[direct, None], norm)[:, 0]
+    # The grid search takes the degenerate states _CHUNK // 2 at a time, each
+    # slice with its own terms (about 10 KB a state).
+    grid, half = np.flatnonzero(degenerate), max(1, _CHUNK // 2)
+    for i in range(0, len(grid), half):
+        out[grid[i : i + half]] = _grid_maximize(terms_of(flat[grid[i : i + half]]), norm)
     return _out(out.reshape(rho.shape[:-2]))
 
 

@@ -317,6 +317,29 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="got 100000000$"):
             integrate(p, 1e6)
 
+    @pytest.mark.parametrize("steps", [None, 10])
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, -1.0])
+    def test_rejects_a_time_that_is_not_finite_and_positive(self, t_max, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^t_max must be finite and > 0, got {t_max}$"):
+                integrate(ModelParams(n=1.0, r=1.0), t_max, steps=steps)
+
+    def test_paper_family_takes_no_eigen_solve(self, monkeypatch):
+        # Gershgorin's discs certify every step of the paper's X family, so
+        # neither the steps nor the initial state need eigvalsh; a
+        # trajectory they cannot certify still takes it.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+        rng = np.random.default_rng(91)
+        for n, r in zip(rng.uniform(0.0, 3.0, 5), rng.uniform(0.0, 1.0, 5)):
+            assert len(integrate(ModelParams(n=n, r=r), 50.0, 5000)) == 5001
+        assert calls == []
+        with pytest.raises(StepTooLarge):
+            integrate(ModelParams(n=1.0, r=1.0), 5.0, steps=1)
+        assert calls == [1]
+
     @pytest.mark.parametrize("steps", [1, 49, 50, 51, 120, 5000])
     def test_blocks_match_step_by_step_stepping(self, steps):
         """Each stored state is one Taylor step from the one before it.

@@ -497,25 +497,45 @@ def test_grid_values_do_not_depend_on_the_chunk(monkeypatch, chunk):
     assert values() == default
 
 
+def grid_search_peak(f, states):
+    """tracemalloc's peak over one call f(states), after a one-state call has
+    built the cached coarse grid."""
+    f(states[:1])
+    tracemalloc.start()
+    try:
+        f(states)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_grid_search_memory_does_not_grow_with_the_refinement_grid():
     # Each refinement pass builds its own directions, and a stack of more
-    # than _CHUNK // 2 states is searched in slices, so a call holds about
-    # 10 KB per degenerate state (its terms in a few layouts) on top of
-    # bounded passes: 2.0 MB (hs) and 2.2 MB (trace) measured at 200 states.
-    # All refinement directions at once would add about 30 KB per state,
-    # 8.1 MB in all at 200.
+    # than _CHUNK // 2 states is searched in slices, so a call holds bounded
+    # passes: 1.5 MB (hs) and 1.6 MB (trace) measured at 200 states. All
+    # refinement directions at once would add about 30 KB per state, 8.1 MB
+    # in all at 200.
     rng = np.random.default_rng(67)
     states = np.array([degenerate_marginal_state(rng) for _ in range(200)])
     assert _marginal_direction(states)[1].all()
     for f in (brute_force_hs_min, brute_force_trace_min):
-        f(states[:1])  # builds the cached coarse grid
-        tracemalloc.start()
-        try:
-            f(states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.0e6
+        assert grid_search_peak(f, states) < 3.0e6
+
+
+def test_grid_search_memory_does_not_grow_with_the_stack(monkeypatch):
+    # The Kraus terms, about 10 KB a state in their natural and block
+    # orders, are built per slice of _CHUNK // 2 degenerate states: 3.9 MB
+    # measured at 2,000 states, against 14.9 MB with the whole stack's terms
+    # built before the slicing. The trace norm holds both orders. A 4 x 8
+    # coarse grid stands in for the full one: a pass holds at most _CHUNK
+    # pairs either way, and the call takes 2 s instead of 12 s under
+    # tracemalloc.
+    grid = _direction_batch(np.linspace(0.0, math.pi, 8)[:4], np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
+    monkeypatch.setattr(oracle, "_coarse_grid", lambda: grid)
+    rng = np.random.default_rng(68)
+    states = np.array([degenerate_marginal_state(rng) for _ in range(2000)])
+    assert _marginal_direction(states)[1].all()
+    assert grid_search_peak(brute_force_trace_min, states) < 5.0e6
 
 
 def test_block_order_permutes_each_terms_entries():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from thermomin import (
     trace_norm,
     validate_state,
 )
+from thermomin.dynamics import INTEGRATOR_PSD_SLACK
+from thermomin.qstate import _CERTIFY_SLICE, PSD_SLACK, _psd_certified
 
 from _helpers import bell_phi_plus, ginibre_state, partial_trace_direct, random_hermitian
 
@@ -53,6 +57,116 @@ class TestValidateState:
         m[2, 2] = np.nan
         with pytest.raises(ValueError):
             validate_state(m)
+
+
+def x_form(rng):
+    """Hermitian matrix of the paper's X family: diagonal (a, b, b, d) and the
+    coherence h_23 = conj(h_32), real or complex; its smallest eigenvalue is
+    min(a, d, b - |h_23|), which Gershgorin's discs give exactly."""
+    a, b, d = rng.random(3)
+    m = np.diag([a, b, b, d]).astype(complex)
+    m[1, 2] = b * rng.random() * (1.0 if rng.random() < 0.5 else np.exp(2j * np.pi * rng.random()))
+    m[2, 1] = np.conj(m[1, 2])
+    return m
+
+
+def general_form(rng):
+    """x_form plus a general Hermitian matrix of scale 1, 1e-6, 1e-12 or 1e-14:
+    every entry is nonzero, and at the smaller scales the discs' bound sits
+    near the smallest eigenvalue."""
+    return x_form(rng) + (1.0, 1e-6, 1e-12, 1e-14)[rng.integers(4)] * random_hermitian(rng, 4)
+
+
+def with_lowest(h, target):
+    """target I + s (h - lambda_min I), with s > 0 setting the trace to 1: a
+    matrix whose smallest eigenvalue is target up to rounding."""
+    lowest = np.linalg.eigvalsh(h)[0]
+    s = (1.0 - 4.0 * target) / (np.trace(h).real - 4.0 * lowest)
+    return target * np.eye(4) + s * (h - lowest * np.eye(4))
+
+
+def near_slack(form, slack, seed, count=60):
+    """count seeded matrices of form for each lambda_min = slack (1 +- delta);
+    delta = 1 puts it at 0 and at twice the slack."""
+    rng = np.random.default_rng(seed)
+    return [
+        with_lowest(form(rng), slack * (1.0 + sign * delta))
+        for _ in range(count)
+        for delta in (0.0, 1e-3, 1e-6, 1e-9, 1.0)
+        for sign in (1.0, -1.0)
+    ]
+
+
+def eigen_verdict(m):
+    """validate_state's positivity verdict by an eigen-solve alone: None, or the NotPositive message."""
+    lowest = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0].reshape(-1)
+    bad = np.flatnonzero(lowest < PSD_SLACK)
+    if not len(bad):
+        return None
+    where = f"state {bad[0]}: " if m.ndim == 3 else ""
+    return where + f"smallest eigenvalue {lowest[bad[0]]:.3e} below slack {PSD_SLACK:.0e}"
+
+
+def verdict(m):
+    try:
+        validate_state(m)
+    except NotPositive as exc:
+        return str(exc)
+    return None
+
+
+class TestPositivityCertificate:
+    @pytest.mark.parametrize("slack", [PSD_SLACK, INTEGRATOR_PSD_SLACK])
+    @pytest.mark.parametrize("form", [x_form, general_form])
+    def test_a_certified_matrix_passes_the_eigenvalue_check(self, form, slack):
+        matrices = near_slack(form, slack, seed=81)
+        certified = [m for m in matrices if _psd_certified(m, slack)]
+        assert all(np.linalg.eigvalsh(m)[0] >= slack for m in certified)
+        # Both sides of the certificate are reached near the slack.
+        assert 0 < len(certified) < len(matrices)
+        assert _psd_certified(np.array(certified), slack)
+        assert not _psd_certified(np.array(matrices), slack)
+
+    @pytest.mark.parametrize("form", [x_form, general_form])
+    def test_validate_state_gives_the_eigen_solve_verdict(self, form):
+        matrices = near_slack(form, PSD_SLACK, seed=82)
+        assert {eigen_verdict(m) is None for m in matrices} == {True, False}
+        for m in matrices:
+            assert verdict(m) == eigen_verdict(m)
+        stack = np.array(matrices)
+        assert verdict(stack) == eigen_verdict(stack)
+        assert verdict(stack[::-1]) == eigen_verdict(stack[::-1])
+
+    def test_off_diagonal_row_sums_count(self):
+        # An X state whose coherence exceeds its populations by 1e-6 has the
+        # eigenvalue -1e-6; the diagonal alone would certify it.
+        m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
+        m[1, 2] = m[2, 1] = 0.25 + 1e-6
+        for slack in (PSD_SLACK, INTEGRATOR_PSD_SLACK):
+            assert not _psd_certified(m, slack)
+        with pytest.raises(NotPositive, match="^smallest eigenvalue -1.000e-06 below slack -1e-10$"):
+            validate_state(m)
+
+    def test_row_sums_that_overflow_fall_back_to_the_eigen_solve(self):
+        # Each entry and the symmetrization stay finite; row 0's sum does not.
+        m = np.diag([0.25] * 4).astype(complex)
+        m[0, 1:] = m[1:, 0] = 7e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _psd_certified(m, PSD_SLACK)
+            with pytest.raises(NotPositive, match=r"^smallest eigenvalue -1\.212e\+308 below slack -1e-10$"):
+                validate_state(m)
+
+    def test_one_bad_matrix_in_a_later_slice_is_found(self):
+        stack = np.repeat((np.eye(4) / 4.0)[None], 2 * _CERTIFY_SLICE + 3, axis=0).astype(complex)
+        assert _psd_certified(stack, PSD_SLACK)
+        stack[_CERTIFY_SLICE + 7, 0, 0] = np.nan
+        assert not _psd_certified(stack, PSD_SLACK)
+        stack[_CERTIFY_SLICE + 7, 0, 0] = 0.25
+        stack[_CERTIFY_SLICE + 7, 0, 3] = stack[_CERTIFY_SLICE + 7, 3, 0] = 0.25 + 1e-6
+        assert not _psd_certified(stack, INTEGRATOR_PSD_SLACK)
+        with pytest.raises(NotPositive, match=f"^state {_CERTIFY_SLICE + 7}: smallest eigenvalue"):
+            validate_state(stack)
 
 
 class TestHermitianEigensystem:
