@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import exp, expm1, isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -201,9 +202,10 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     purpose: a matrix exponential would make this a second exact
     propagator instead of an independent check of the first.
 
-    t_max must be finite and > 0. steps is the number of steps taken (default
-    100 per unit of scaled time), at most MAX_STEPS, which is checked before
-    the trajectory is allocated; there is no substepping. The step matrix S and
+    t_max must be finite and > 0. steps is the number of steps taken, an
+    integer that is not a bool (default 100 per unit of scaled time), at most
+    MAX_STEPS, which is checked before the trajectory is allocated; there is
+    no substepping. The step matrix S and
     its powers S^2, ..., S^50 are formed once, and the trajectory advances 50
     stored states at a time, as one matrix-vector product of those powers'
     stacked rows with the last stored state, written straight into the
@@ -220,6 +222,8 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_max))
+    if isinstance(steps, bool) or not isinstance(steps, Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if not (1 <= steps <= MAX_STEPS):
         raise ValueError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     h = t_max / steps

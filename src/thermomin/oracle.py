@@ -14,7 +14,7 @@ coefficients of the identity minus the map. Its Hilbert-Schmidt norm is
 the sum of its squared entries. Its trace norm comes from the 2x2 block
 that D holds between the eigenvectors of m.sigma, with weights in closed
 form in m, read from terms put once into 2x2 block order (see
-``_trace_norms`` and ``_block_order``). So the oracle takes no matrix
+``_trace_weights``, ``_trace_norms`` and ``_block_order``). So the oracle takes no matrix
 spectrum and shares no solver with ``measures``: explicit post-measurement
 states, entrywise norms and a direct maximization here, closed formulas on
 the Bloch data with LAPACK singular values and eigenvalues there.
@@ -25,7 +25,9 @@ value is computed directly; when it is degenerate, |x| < MARGINAL_EPS as
 in ``measures``, every direction qualifies and a theta/phi grid search
 with one local refinement pass takes over. Measuring along m and along -m
 is the same measurement, so the coarse grid covers the upper hemisphere
-only (see ``_coarse_grid``).
+only. Its direction columns and trace-norm weights depend on the grid
+alone and are built once per process (see ``_coarse_grid``); the
+refinement forms those of its directions in each pass.
 
 Every ``brute_force_*`` function takes one 4x4 state, for which it returns
 a float, or a (..., 4, 4) stack, for which it returns an array of the
@@ -122,16 +124,15 @@ def _marginal_direction(rho):
 
 
 def _direction_batch(thetas, phis):
-    """Directions for every (theta, phi) pair, theta-major so that argmax
+    """Unit directions for every (theta, phi) pair, theta-major so that argmax
     tie-breaking picks the lexicographically smallest pair. Leading axes pair
-    up: (S, kt) thetas and (S, kp) phis give S grids of kt kp directions,
-    with angles of shape (S, kt kp) and directions of shape (S, kt kp, 3)."""
+    up: (S, kt) thetas and (S, kp) phis give S grids of kt kp directions, of
+    shape (S, kt kp, 3)."""
     tt, pp = np.broadcast_arrays(thetas[..., :, None], phis[..., None, :])
     tt = tt.reshape(tt.shape[:-2] + (-1,))
     pp = pp.reshape(pp.shape[:-2] + (-1,))
     st = np.sin(tt)
-    ms = np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
-    return tt, pp, ms
+    return np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
 
 
 def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
@@ -178,17 +179,13 @@ def _post_states(rho, ms, t1, t2) -> np.ndarray:
     return product.view(complex).reshape(product.shape[:-1] + (4, 4))
 
 
-def _trace_norms(blocks, ms) -> np.ndarray:
-    """|D|_1 of each disturbance D for its direction in ms (k, 3), without an eigensolve.
+def _trace_weights(ms) -> np.ndarray:
+    """The (k, 1, 4) weights that ``_trace_norms`` applies to the 2x2 blocks of
+    disturbances measured along the unit directions ms (k, 3).
 
-    blocks holds D in 2x2 block order, (k, 4, 4 S) for S states measured
-    along the same k directions: row aa' of direction j holds D_(ab),(a'b')
-    of each state in turn, over bb'. The result has the shape (k, S).
     D = rho - Omega(rho) = 2 b^2 (rho - S rho S) with S = (m.sigma) x I and
     S^2 = I, so S D S = -D. In the eigenbasis u+, u- of m.sigma, D is then
-    [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I); its
-    eigenvalues are +-s1, +-s2, the singular values of B, and
-    |D|_1 = 2 (s1 + s2) = 2 sqrt(|B|_F^2 + 2 |det B|).
+    [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I).
     The eigenvectors are those of n.sigma for n = s m, with s = -1 if
     m_z < 0 and +1 otherwise: u+ = (c, w) and u- = (-conj w, c) with
     c = 1 + n_z >= 1 and w = n_x + i n_y, each of squared length 2c, so no
@@ -196,69 +193,100 @@ def _trace_norms(blocks, ms) -> np.ndarray:
     B into B^+ and leaves the norm unchanged. B_bb' sums conj(u+_a) u-_a'
     D_(ab),(a'b') / 2c over a, a', with weights for aa' = 00, 01, 10, 11 of
     (-conj w c, c^2, -conj w^2, conj w c) / 2c = (-conj w, c, -conj w^2 / c, conj w) / 2.
-    The weights are formed once per direction and applied to all S states
-    in one (1, 4) @ (4, 4 S) product.
     """
-    k = len(ms)
     s = np.where(ms[:, 2] < 0.0, -1.0, 1.0)
     c = 1.0 + s * ms[:, 2]
     wbar = s * (ms[:, 0] - 1j * ms[:, 1])
-    coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(k, 1, 4)
-    b = (coef @ blocks).reshape(k, -1, 4)
+    return 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(len(ms), 1, 4)
+
+
+def _trace_norms(blocks, weights) -> np.ndarray:
+    """|D|_1 of each disturbance D along k directions with the (k, 1, 4)
+    ``_trace_weights``, without an eigensolve.
+
+    blocks holds D in 2x2 block order, (k, 4, 4 S) for S states measured
+    along the same k directions: row aa' of direction j holds D_(ab),(a'b')
+    of each state in turn, over bb'. The result has the shape (k, S). Each
+    direction's weights give the block B of all S states in one
+    (1, 4) @ (4, 4 S) product; the eigenvalues of D are +-s1, +-s2, the
+    singular values of B, so |D|_1 = 2 (s1 + s2) = 2 sqrt(|B|_F^2 + 2 |det B|).
+    """
+    b = (weights @ blocks).reshape(len(weights), -1, 4)
     det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
     fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
     return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
 
 
-def _norms(product, ms, norm: str) -> np.ndarray:
-    """Disturbance norms of S states along the k directions ms (k, 3), as (k, S),
-    from the real (k, 32 S) product of the directions' columns with the states'
-    terms: |D|_2^2, the sum of squares of each state's 32 floats in natural
-    order, or |D|_1 from the (k, 4, 4 S) blocks of block-ordered terms."""
+def _norms(product, norm: str, weights=None) -> np.ndarray:
+    """Disturbance norms of S states along k directions, as (k, S), from the
+    real (k, 32 S) product of the directions' columns with the states' terms:
+    |D|_2^2, the sum of squares of each state's 32 floats in natural order,
+    or |D|_1 from the (k, 4, 4 S) blocks of block-ordered terms and the
+    directions' (k, 1, 4) ``_trace_weights``."""
     if norm == "hs":
-        floats = product.reshape(len(ms), -1, 32)
+        floats = product.reshape(len(product), -1, 32)
         return np.einsum("...j,...j->...", floats, floats)
-    return _trace_norms(product.view(complex).reshape(len(ms), 4, -1), ms)
+    return _trace_norms(product.view(complex).reshape(len(product), 4, -1), weights)
 
 
 def _own_direction_values(terms, ms, norm: str) -> np.ndarray:
     """Disturbance norms of the S states with (S, 10, 32) terms, each along its
-    own k directions ms (S, k, 3): one batched (S, k, 10) @ (S, 10, 32) product."""
-    cols = _kraus_columns(ms.reshape(-1, 3)).reshape(ms.shape[:-1] + (10,))
-    return _norms((cols @ terms).reshape(-1, 32), ms.reshape(-1, 3), norm).reshape(ms.shape[:-1])
+    own k directions ms (S, k, 3): one batched (S, k, 10) @ (S, 10, 32) product,
+    with the columns and weights formed for these directions."""
+    flat = ms.reshape(-1, 3)
+    cols = _kraus_columns(flat).reshape(ms.shape[:-1] + (10,))
+    weights = _trace_weights(flat) if norm == "trace" else None
+    return _norms((cols @ terms).reshape(-1, 32), norm, weights).reshape(ms.shape[:-1])
+
+
+def _search_grid(thetas, phis):
+    """The theta/phi grid that the coarse passes read, kept read-only: its
+    thetas (kt,) and phis (kp,), whose cell j is (thetas[j // kp], phis[j % kp]),
+    and the (kt kp, 10) Kraus columns and (kt kp, 1, 4) trace-norm weights of
+    its theta-major directions."""
+    cols = np.empty((len(thetas) * len(phis), 10))
+    weights = np.empty((len(cols), 1, 4), dtype=complex)
+    # Built a few theta rows at a time, so that the directions and their
+    # temporaries stay small beside the grid.
+    rows = max(1, _CHUNK // len(phis))
+    for i in range(0, len(thetas), rows):
+        ms = _direction_batch(thetas[i : i + rows], phis)
+        cells = slice(i * len(phis), i * len(phis) + len(ms))
+        cols[cells] = _kraus_columns(ms)
+        weights[cells] = _trace_weights(ms)
+    grid = (thetas, phis, cols, weights)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 @functools.cache
 def _coarse_grid():
-    """The coarse directions of every grid search: the upper-hemisphere half of
-    the GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, built on first use
-    and kept read-only.
+    """The grid of every coarse search: the upper-hemisphere half of the
+    GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, as ``_search_grid``,
+    built on first use. Its columns and weights take about 1.4 MB.
 
     Cell (i, j) of the full grid has the antipode (g-1-i, (j+g) mod 2g), equal
     to -m to within 7.8e-16, so the full grid is closed under antipodes. The
     direction columns m_k m_l are the same floats for m and -m, and
-    ``_trace_norms`` takes its eigenvectors from n = s m, so a search value at
-    -m equals the one at m bit for bit (no grid direction has m_z = 0, where
-    s would not flip): the theta indices g//2 ... g-1 only repeat the first
-    g//2. The theta = 0 pole stays in, so theta-major argmax tie-breaking is
-    unchanged.
+    ``_trace_weights`` takes its eigenvectors from n = s m, so a search value
+    at -m equals the one at m bit for bit (no grid direction has m_z = 0,
+    where s would not flip): the theta indices g//2 ... g-1 only repeat the
+    first g//2. The theta = 0 pole stays in, so theta-major argmax
+    tie-breaking is unchanged.
     """
     g = GRID_RESOLUTION
-    thetas = np.linspace(0.0, math.pi, g)[: g // 2]
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
-    grid = _direction_batch(thetas, phis)
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+    return _search_grid(np.linspace(0.0, math.pi, g)[: g // 2], np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False))
 
 
 def _grid_maximize(terms, norm: str) -> np.ndarray:
     """Largest disturbance norm of each of the S states with (S, 10, 32) terms
     over a theta/phi grid plus one refinement pass around its best cell.
 
-    Each coarse pass builds the columns of its directions once and multiplies
-    them with the terms of all S states side by side, (k, 10) @ (10, 32 S):
-    the columns are (state, entry) for the hs norm and, for the trace norm's
+    Each coarse pass slices the cached columns (and, for the trace norm, the
+    weights) of its directions from ``_coarse_grid`` and multiplies them with
+    the terms of all S states side by side, (k, 10) @ (10, 32 S): the columns
+    are (state, entry) for the hs norm and, for the trace norm's
     block-ordered terms, (aa', state, bb'), so that the product reshapes to
     the (k, 4, 4 S) blocks of ``_trace_norms`` as a view. The best value and
     cell of each state run across the passes, keeping the first cell on ties
@@ -268,7 +296,7 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
     """
     count = len(terms)
     g = GRID_RESOLUTION
-    tt, pp, ms = _coarse_grid()
+    thetas, phis, cols, weights = _coarse_grid()
     rows = 4 if norm == "trace" else 1
     wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
     best = np.full(count, -np.inf)
@@ -276,24 +304,23 @@ def _grid_maximize(terms, norm: str) -> np.ndarray:
     # A one-direction product would take BLAS's matrix-vector kernel, whose
     # sums can differ in the last bit from the matrix-matrix kernel's, so the
     # passes split the grid evenly with at least two directions each.
-    passes = -(-len(ms) // max(2, _CHUNK // count))
-    bounds = [len(ms) * j // passes for j in range(passes + 1)]
+    passes = -(-len(cols) // max(2, _CHUNK // count))
+    bounds = [len(cols) * j // passes for j in range(passes + 1)]
     for i, end in zip(bounds, bounds[1:]):
-        part = ms[i:end]
-        values = _norms(_kraus_columns(part) @ wide, part, norm)
+        values = _norms(cols[i:end] @ wide, norm, weights[i:end])
         top = np.argmax(values, axis=0)
         top_values = values[top, np.arange(count)]
         better = top_values > best
         best[better] = top_values[better]
         cell[better] = i + top[better]
     # One refinement pass at 10x resolution around each state's best cell,
-    # its directions built pass by pass.
+    # its directions, columns and weights built pass by pass.
     dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * REFINE_FACTOR + 1)
     dp = np.linspace(-math.pi / g, math.pi / g, 2 * REFINE_FACTOR + 1)
     per_pass = max(1, _CHUNK // len(dt) ** 2)
     for i in range(0, count, per_pass):
-        here = cell[i : i + per_pass, None]
-        _, _, ms_fine = _direction_batch(np.clip(tt[here] + dt, 0.0, math.pi), (pp[here] + dp) % (2.0 * math.pi))
+        row, col = np.divmod(cell[i : i + per_pass, None], len(phis))
+        ms_fine = _direction_batch(np.clip(thetas[row] + dt, 0.0, math.pi), (phis[col] + dp) % (2.0 * math.pi))
         fine = _own_direction_values(terms[i : i + per_pass], ms_fine, norm)
         np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
     return best

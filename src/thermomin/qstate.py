@@ -128,7 +128,10 @@ def validate_state(m) -> np.ndarray:
     trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     message = f"|Tr(rho) - 1| = {{:.3e}} exceeds {TRACE_TOL:.0e}"
     _raise_first(trace_dev > TRACE_TOL, TraceNotOne, message, trace_dev)
-    sym = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    # Halving each term first keeps entries above half the float range finite.
+    # Halving is exact for normal floats, so away from the subnormal range the
+    # sum is the same float as halving (rho + rho^H).
+    sym = 0.5 * rho + 0.5 * rho.conj().swapaxes(-1, -2)
     if not _psd_certified(sym, PSD_SLACK):
         _require_psd(np.linalg.eigvalsh(sym)[..., 0])
     return rho

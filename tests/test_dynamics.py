@@ -317,6 +317,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="got 100000000$"):
             integrate(p, 1e6)
 
+    @pytest.mark.parametrize("steps", [10.0, 10.5, True, False, np.float64(10.0), np.bool_(True), "10"])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(steps))}$"):
+                integrate(ModelParams(n=1.0, r=1.0), 1.0, steps)
+
+    def test_integer_step_counts_of_any_integer_type_agree(self):
+        p = ModelParams(n=0.5, r=0.5)
+        reference = integrate(p, 1.0, 10)
+        for steps in (np.int64(10), np.int32(10), np.uint16(10)):
+            traj = integrate(p, 1.0, steps)
+            assert traj.times.tobytes() == reference.times.tobytes()
+            assert traj.states.tobytes() == reference.states.tobytes()
+
     @pytest.mark.parametrize("steps", [None, 10])
     @pytest.mark.parametrize("t_max", [math.inf, math.nan, -1.0])
     def test_rejects_a_time_that_is_not_finite_and_positive(self, t_max, steps):

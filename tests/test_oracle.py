@@ -29,7 +29,9 @@ from thermomin.oracle import (
     _kraus_terms,
     _marginal_direction,
     _post_states,
+    _search_grid,
     _trace_norms,
+    _trace_weights,
 )
 
 from _helpers import ID2, SX, SY, SZ, bell_diagonal_state, bell_phi_plus, ginibre_state, random_qubit_unitary
@@ -309,7 +311,7 @@ class TestTraceNormBlock:
         # A coarse theta/phi grid with both poles and the equator, plus the
         # points where the eigenvector construction switches branch (m_z = 0
         # and m_z = +-1e-12) and the exact poles and equator axes.
-        _, _, grid = _direction_batch(np.linspace(0.0, math.pi, 21), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+        grid = _direction_batch(np.linspace(0.0, math.pi, 21), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
         e = 1e-12
         q = math.sqrt(1.0 - e * e)
         special = [
@@ -351,7 +353,8 @@ class TestTraceNormBlock:
         ms = self.directions()
         for rho in self.states():
             literal = np.abs(np.linalg.eigvalsh(self.disturbances(rho, t1, t2, ms).reshape(-1, 4, 4))).sum(axis=1)
-            assert np.max(np.abs(_trace_norms(self.blocks(rho, t1, t2, ms), ms)[:, 0] - literal)) <= 1e-14
+            norms = _trace_norms(self.blocks(rho, t1, t2, ms), _trace_weights(ms))
+            assert np.max(np.abs(norms[:, 0] - literal)) <= 1e-14
 
     def test_grid_trace_norm_takes_no_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -368,22 +371,46 @@ class TestTraceNormBlock:
         assert brute_force_weak_min(rho, WeakStrength(0.7), "trace") > 0.0
 
 
-def full_sphere_grid():
-    """The whole GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, both hemispheres."""
+def grid_angles(rows):
+    """The first rows thetas of the GRID_RESOLUTION-point theta grid, and its 2 GRID_RESOLUTION phis."""
     g = oracle.GRID_RESOLUTION
-    return _direction_batch(np.linspace(0.0, math.pi, g), np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False))
+    return np.linspace(0.0, math.pi, g)[:rows], np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
+
+
+def full_sphere_grid():
+    """The directions of the whole GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, both hemispheres."""
+    return _direction_batch(*grid_angles(oracle.GRID_RESOLUTION))
+
+
+def hemisphere_grid():
+    """The directions of the coarse grid: the upper-hemisphere half of the full one."""
+    return _direction_batch(*grid_angles(oracle.GRID_RESOLUTION // 2))
 
 
 def test_coarse_grid_is_built_once_and_read_only():
-    g = oracle.GRID_RESOLUTION
-    fresh = _direction_batch(
-        np.linspace(0.0, math.pi, g)[: g // 2], np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
-    )
+    thetas, phis = grid_angles(oracle.GRID_RESOLUTION // 2)
+    ms = hemisphere_grid()
+    fresh = (thetas, phis, _kraus_columns(ms), _trace_weights(ms))
     cached = _coarse_grid()
     assert _coarse_grid() is cached
-    for a, b in zip(cached, fresh):
+    for a, b in zip(cached, fresh, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
         assert not a.flags.writeable
+
+
+def test_coarse_grid_cache_holds_its_columns_and_weights_only():
+    # The (10000, 10) columns take 800 KB and the (10000, 1, 4) complex
+    # weights 640 KB: 1.44 MB with the 250 angles. Per-cell angles or
+    # directions kept beside them would add up to 0.40 MB.
+    oracle._coarse_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        grid = _coarse_grid()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in grid) <= held < 1.5e6
 
 
 def test_kraus_columns_match_the_literal_formula():
@@ -391,7 +418,7 @@ def test_kraus_columns_match_the_literal_formula():
     random_sets = [rng.normal(size=(k, 3)) for k in (1, 2, 7, 4001)]
     for ms in random_sets:
         ms /= np.linalg.norm(ms, axis=1, keepdims=True)
-    for ms in random_sets + [_coarse_grid()[2], full_sphere_grid()[2]]:
+    for ms in random_sets + [hemisphere_grid(), full_sphere_grid()]:
         # The rows [1, m_k m_l] as the nine products of the transposed directions.
         literal = np.vstack([np.ones((1, len(ms))), (ms.T[:, None] * ms.T[None]).reshape(9, -1)]).T
         assert _kraus_columns(ms).tobytes() == np.ascontiguousarray(literal).tobytes()
@@ -403,7 +430,7 @@ class TestHemisphereGrid:
 
     def test_full_grid_is_closed_under_antipodes(self):
         g = oracle.GRID_RESOLUTION
-        ms = full_sphere_grid()[2].reshape(g, 2 * g, 3)
+        ms = full_sphere_grid().reshape(g, 2 * g, 3)
         i, j = np.meshgrid(np.arange(g), np.arange(2 * g), indexing="ij")
         antipodes = ms[g - 1 - i, (j + g) % (2 * g)]
         assert np.max(np.abs(ms + antipodes)) <= 1e-15
@@ -414,14 +441,15 @@ class TestHemisphereGrid:
         rng = np.random.default_rng(59)
         random_ms = rng.normal(size=(500, 3))
         random_ms /= np.linalg.norm(random_ms, axis=1, keepdims=True)
-        for ms in (full_sphere_grid()[2], random_ms):
+        for ms in (full_sphere_grid(), random_ms):
             for rho in TestTraceNormBlock.states()[:6]:
                 here = TestTraceNormBlock.disturbances(rho, t1, t2, ms)
                 there = TestTraceNormBlock.disturbances(rho, t1, t2, -ms)
                 hs = [np.einsum("ij,ij->i", d.view(float), d.view(float)) for d in (here, there)]
                 assert hs[0].tobytes() == hs[1].tobytes()
                 here, there = (TestTraceNormBlock.blocks(rho, t1, t2, m) for m in (ms, -ms))
-                assert _trace_norms(here, ms).tobytes() == _trace_norms(there, -ms).tobytes()
+                norms = [_trace_norms(blocks, _trace_weights(m)) for blocks, m in ((here, ms), (there, -ms))]
+                assert norms[0].tobytes() == norms[1].tobytes()
 
     def test_hemisphere_search_matches_the_full_sphere(self, monkeypatch):
         # The full grid's antipodes are -m only to within 7.8e-16, so the two
@@ -440,7 +468,7 @@ class TestHemisphereGrid:
             )
 
         hemisphere = values()
-        full = full_sphere_grid()
+        full = _search_grid(*grid_angles(oracle.GRID_RESOLUTION))
         monkeypatch.setattr(oracle, "_coarse_grid", lambda: full)
         assert np.max(np.abs(hemisphere - values())) <= 4.4e-16
 
@@ -530,7 +558,7 @@ def test_grid_search_memory_does_not_grow_with_the_stack(monkeypatch):
     # coarse grid stands in for the full one: a pass holds at most _CHUNK
     # pairs either way, and the call takes 2 s instead of 12 s under
     # tracemalloc.
-    grid = _direction_batch(np.linspace(0.0, math.pi, 8)[:4], np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
+    grid = _search_grid(np.linspace(0.0, math.pi, 8)[:4], np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
     monkeypatch.setattr(oracle, "_coarse_grid", lambda: grid)
     rng = np.random.default_rng(68)
     states = np.array([degenerate_marginal_state(rng) for _ in range(2000)])
@@ -546,18 +574,14 @@ def test_block_order_permutes_each_terms_entries():
     assert _block_order(terms).tobytes() == expected.tobytes()
 
 
-def natural_trace_norms(rows, ms):
+def natural_trace_norms(rows, weights):
     """Reference for ``_trace_norms`` on terms left in natural order: the rows
     (k, [ab], state, [a'b']) are the disturbances' matrix rows, regrouped into
     2x2 blocks by a 6-axis transpose and weighted as in ``_trace_norms``."""
-    k = len(ms)
+    k = len(weights)
     deltas = rows.reshape(k, 4, -1, 4).transpose(0, 2, 1, 3)
     blocks = deltas.reshape(k, -1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(k, 4, -1)
-    s = np.where(ms[:, 2] < 0.0, -1.0, 1.0)
-    c = 1.0 + s * ms[:, 2]
-    wbar = s * (ms[:, 0] - 1j * ms[:, 1])
-    coef = 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(k, 1, 4)
-    b = (coef @ blocks).reshape(k, -1, 4)
+    b = (weights @ blocks).reshape(k, -1, 4)
     det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
     fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
     return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
@@ -575,6 +599,55 @@ def test_trace_values_equal_the_natural_layout_regroup(monkeypatch, name, seed):
     monkeypatch.setattr(oracle, "_trace_norms", natural_trace_norms)
     for states, values in zip(stacks, block):
         assert values.tobytes() == f(states).tobytes()
+
+
+
+def per_pass_grid_maximize(terms, norm):
+    """Reference for ``_grid_maximize``: the same search with each coarse pass
+    building the Kraus columns and trace-norm weights of its slice of the
+    hemisphere's directions, and the refinement reading per-cell angles."""
+    count = len(terms)
+    g = oracle.GRID_RESOLUTION
+    thetas, phis = grid_angles(g // 2)
+    tt, pp = (a.reshape(-1) for a in np.broadcast_arrays(thetas[:, None], phis[None, :]))
+    ms = hemisphere_grid()
+    rows = 4 if norm == "trace" else 1
+    wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
+    best = np.full(count, -np.inf)
+    cell = np.zeros(count, dtype=int)
+    passes = -(-len(ms) // max(2, oracle._CHUNK // count))
+    bounds = [len(ms) * j // passes for j in range(passes + 1)]
+    for i, end in zip(bounds, bounds[1:]):
+        part = ms[i:end]
+        values = oracle._norms(_kraus_columns(part) @ wide, norm, _trace_weights(part))
+        top = np.argmax(values, axis=0)
+        top_values = values[top, np.arange(count)]
+        better = top_values > best
+        best[better] = top_values[better]
+        cell[better] = i + top[better]
+    dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * oracle.REFINE_FACTOR + 1)
+    dp = np.linspace(-math.pi / g, math.pi / g, 2 * oracle.REFINE_FACTOR + 1)
+    per_pass = max(1, oracle._CHUNK // len(dt) ** 2)
+    for i in range(0, count, per_pass):
+        here = cell[i : i + per_pass, None]
+        ms_fine = _direction_batch(np.clip(tt[here] + dt, 0.0, math.pi), (pp[here] + dp) % (2.0 * math.pi))
+        fine = oracle._own_direction_values(terms[i : i + per_pass], ms_fine, norm)
+        np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
+    return best
+
+
+@pytest.mark.parametrize("count", [1, 7, 12, 620])
+def test_cached_grid_equals_the_per_pass_search(monkeypatch, count):
+    # 1, 7 and 12 states take 1000, 142 and 83 directions per coarse pass;
+    # 620 go past the 500-state slice, whose passes take 2 directions each.
+    rng = np.random.default_rng(69 + count)
+    states = np.array([degenerate_marginal_state(rng) for _ in range(count)])
+    assert _marginal_direction(states)[1].all()
+    names = ["hs", "trace", "weak-trace"]
+    cached = [ORACLES[name](states) for name in names]
+    monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
+    for name, values in zip(names, cached):
+        assert values.tobytes() == ORACLES[name](states).tobytes(), name
 
 
 def near_pole_state(theta, phi):

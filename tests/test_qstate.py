@@ -157,6 +157,17 @@ class TestPositivityCertificate:
             with pytest.raises(NotPositive, match=r"^smallest eigenvalue -1\.212e\+308 below slack -1e-10$"):
                 validate_state(m)
 
+    def test_entries_above_half_the_float_range_are_not_positive(self):
+        # Summed before halving, the symmetrization would overflow on
+        # 9e307 + 9e307; halved first, each entry stays finite and the
+        # eigen-solve rejects the matrix.
+        m = np.diag([0.25] * 4).astype(complex)
+        m[0, 1] = m[1, 0] = m[0, 3] = m[3, 0] = 9e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositive, match=r"^smallest eigenvalue -1\.273e\+308 below slack -1e-10$"):
+                validate_state(m)
+
     def test_one_bad_matrix_in_a_later_slice_is_found(self):
         stack = np.repeat((np.eye(4) / 4.0)[None], 2 * _CERTIFY_SLICE + 3, axis=0).astype(complex)
         assert _psd_certified(stack, PSD_SLACK)
