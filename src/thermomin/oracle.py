@@ -27,7 +27,11 @@ with one local refinement pass takes over. Measuring along m and along -m
 is the same measurement, so the coarse grid covers the upper hemisphere
 only. Its direction columns and trace-norm weights depend on the grid
 alone and are built once per process (see ``_coarse_grid``); the
-refinement forms those of its directions in each pass.
+refinement forms those of its directions in each pass. A screen, the
+disturbance's 2x2 block taken straight from the state, picks the few
+coarse cells that can hold a state's best value, and only those take the
+Kraus route (see ``_grid_maximize``); every value returned is still a
+Kraus-route value.
 
 Every ``brute_force_*`` function takes one 4x4 state, for which it returns
 a float, or a (..., 4, 4) stack, for which it returns an array of the
@@ -50,11 +54,18 @@ from .qstate import ID2, PAULIS, validate_state
 
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
-# (direction, state) pairs per pass of a grid search. A pass's disturbances
-# take 256 KB at 1000 pairs and its trace-norm temporaries about as much
-# again; 1000 to 3000 pairs take the same time to within noise. A state's
-# value does not depend on the pass it is computed in.
+# (direction, state) pairs per Kraus product, or refinement pass, of a grid
+# search. A product's disturbances take 256 KB at 1000 pairs and its
+# trace-norm temporaries about as much again. A state's value does not
+# depend on the product it is computed in.
 _CHUNK = 1000
+# A coarse cell takes the Kraus route when its screen value lies within
+# _SCREEN_MARGIN max(1, top) of the state's running top (see _grid_maximize).
+# A screen slice holds at most _SCREEN_PAIRS (direction, state) pairs and
+# _SCREEN_PAIRS // 10 directions: at 10 states, 1,000 to 2,000 directions a
+# slice measured fastest, and the whole grid at once slower.
+_SCREEN_MARGIN = 1e-9
+_SCREEN_PAIRS = 10_000
 
 # sigma_k x I, the Paulis acting on subsystem a.
 _LIFTED_PAULIS = np.kron(PAULIS, ID2)
@@ -90,9 +101,16 @@ def _projectors(ms):
 
 
 def direction_from_vector(m) -> MeasurementDirection:
-    """Measurement direction along an arbitrary nonzero 3-vector."""
+    """Measurement direction along an arbitrary nonzero, finite 3-vector."""
     m = np.asarray(m, dtype=float)
-    norm = float(np.linalg.norm(m))
+    if not np.isfinite(m).all():
+        raise ValueError(f"direction vector must be finite, got {m.tolist()}")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(m))
+    if norm in (0.0, math.inf) and m.any():
+        # The squares overflowed or underflowed: rescale by the largest entry.
+        m = m / np.abs(m).max()
+        norm = float(np.linalg.norm(m))
     if norm == 0.0:
         raise ValueError("direction vector must be nonzero")
     theta = math.acos(max(-1.0, min(1.0, m[2] / norm)))
@@ -279,40 +297,139 @@ def _coarse_grid():
     return _search_grid(np.linspace(0.0, math.pi, g)[: g // 2], np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False))
 
 
-def _grid_maximize(terms, norm: str) -> np.ndarray:
+def _screen_coefficients(scaled):
+    """The (S, 10) and (S, 5) coefficients of ``_screen`` for the (S, 4, 4)
+    states X = (c_rho - c_s) rho, with sigma_k standing for sigma_k x I.
+
+    2 |B|_F^2 = |X|^2 / 2 - sum_kl m_k m_l Tr(sigma_k X sigma_l X) / 2 is
+    linear in the Kraus columns [1, m_k m_l]. With the 2x2 blocks R_i of X,
+    i = aa', B = sum_i w_i R_i, so det B sums
+    w_i w_j (R_i[0, 0] R_j[1, 1] - R_i[0, 1] R_j[1, 0]). The
+    ``_trace_weights`` are w = (c/2) (-z, 1, -z^2, z) with z = (n_x - i n_y) / c,
+    so each w_i w_j is +-(c/2)^2 z^n, n = 0 .. 4: the 16 terms fold into 5.
+    """
+    count = len(scaled)
+    fro = np.empty((count, 10))
+    flat = scaled.reshape(count, 16).view(float)
+    fro[:, 0] = 0.5 * np.einsum("sj,sj->s", flat, flat)
+    lifted = _LIFTED_PAULIS @ scaled[:, None]
+    fro[:, 1:] = -0.5 * np.einsum("skij,slji->skl", lifted, lifted).real.reshape(count, 9)
+    r = scaled.reshape(count, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(count, 4, 4)
+    det = r[:, :, None, 0] * r[:, None, :, 3] - r[:, :, None, 1] * r[:, None, :, 2]
+    power, sign = np.array([1, 0, 2, 1]), np.array([-1.0, 1.0, -1.0, 1.0])
+    fold = np.zeros((4, 4, 5))
+    fold[np.arange(4)[:, None], np.arange(4), power[:, None] + power] = sign[:, None] * sign
+    return fro, det.reshape(count, 16) @ fold.reshape(16, 5)
+
+
+def _screen(cols, weights, coefs, norm: str) -> np.ndarray:
+    """The (S, k) screen values of the S states with ``_screen_coefficients``
+    coefs along k directions with (k, 10) Kraus columns and (k, 4) trace
+    weights: 2 |B|_F^2, or 2 sqrt(|B|_F^2 + 2 |det B|) as in ``_trace_norms``,
+    from forms in the directions, so that no (direction, state) pair forms B."""
+    fro_coef, det_coef = coefs
+    fro = fro_coef @ cols.T
+    if norm == "hs":
+        return fro
+    # (c/2)^2 z^n from w_1 = c/2 and w_3 / w_1 = z.
+    powers = np.empty((5, len(weights)), dtype=complex)
+    powers[0] = weights[:, 1] ** 2
+    powers[1:] = weights[:, 3] / weights[:, 1]
+    det = np.abs(det_coef @ np.multiply.accumulate(powers, out=powers))
+    # sqrt(2 (fro + 4 |det B|)) in place; fro can round below zero where D vanishes.
+    det *= 4.0
+    det += fro
+    det *= 2.0
+    np.maximum(det, 0.0, out=det)
+    return np.sqrt(det, out=det)
+
+
+def _grid_maximize(terms, norm: str, scaled) -> np.ndarray:
     """Largest disturbance norm of each of the S states with (S, 10, 32) terms
     over a theta/phi grid plus one refinement pass around its best cell.
 
-    Each coarse pass slices the cached columns (and, for the trace norm, the
-    weights) of its directions from ``_coarse_grid`` and multiplies them with
-    the terms of all S states side by side, (k, 10) @ (10, 32 S): the columns
-    are (state, entry) for the hs norm and, for the trace norm's
-    block-ordered terms, (aa', state, bb'), so that the product reshapes to
-    the (k, 4, 4 S) blocks of ``_trace_norms`` as a view. The best value and
-    cell of each state run across the passes, keeping the first cell on ties
-    as one argmax over the whole grid would. A pass holds at most _CHUNK
-    (direction, state) pairs once S is at most _CHUNK // 2, past which two
-    directions would exceed it; _brute_force passes slices of that many.
+    Every value is a Kraus-route value; a screen picks the coarse cells that
+    take that route. D = c_rho rho + c_s S rho S with c_s = -c_rho and
+    S = (m.sigma) x I holds only the block B = (<u+| x I) X (|u-> x I) of
+    the (S, 4, 4) states scaled = X = (c_rho - c_s) rho (see
+    ``_trace_weights``), and ``_screen`` takes its norm straight from X. A
+    cell takes the Kraus route only when its screen value lies within
+    _SCREEN_MARGIN max(1, top) of the state's running top screen value. On
+    seeded states the screen stays within 3e-15 of the Kraus value at every
+    cell, so every other cell's Kraus value lies below the best, and the
+    best value and cell (the first on ties, as one argmax over the whole
+    grid would keep) are those of the full search. Should an evaluated
+    screen value stray from its Kraus value by more than half the margin,
+    the search runs again with every cell taking the Kraus route: a screen
+    that strays near a top costs time, not a value. The square root
+    amplifies the screen's rounding where D vanishes, so a product state's
+    trace norm takes that second search.
+
+    The refinement's 441 directions per state all take the Kraus route:
+    building their directions, columns and weights costs more than their
+    norms, and screening them measured slower.
+    """
+    coefs = _screen_coefficients(scaled)
+    best = _screened_search(terms, norm, coefs, _SCREEN_MARGIN)
+    return _screened_search(terms, norm, coefs, math.inf) if best is None else best
+
+
+def _screened_search(terms, norm: str, coefs, margin: float):
+    """``_grid_maximize`` at the given screen margin; None once an evaluated
+    screen value strays from its Kraus value by more than half the margin.
+
+    Cells near a running top wait with their screen values until they fill
+    a Kraus product of about _CHUNK (direction, state) pairs, which a
+    later top can shrink. Each product takes at least two directions: a
+    one-direction product would take BLAS's matrix-vector kernel, whose sums
+    can differ in the last bit from the matrix-matrix kernel's, and
+    _brute_force passes slices of at most _CHUNK // 2 states.
     """
     count = len(terms)
     g = GRID_RESOLUTION
     thetas, phis, cols, weights = _coarse_grid()
+    # The terms side by side, (10, 32 S): columns (state, entry) for hs, and
+    # (aa', state, bb') for the block-ordered trace terms, so that a product
+    # reshapes to the (k, 4, 4 S) blocks of ``_trace_norms`` as a view.
     rows = 4 if norm == "trace" else 1
     wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
     best = np.full(count, -np.inf)
     cell = np.zeros(count, dtype=int)
-    # A one-direction product would take BLAS's matrix-vector kernel, whose
-    # sums can differ in the last bit from the matrix-matrix kernel's, so the
-    # passes split the grid evenly with at least two directions each.
-    passes = -(-len(cols) // max(2, _CHUNK // count))
-    bounds = [len(cols) * j // passes for j in range(passes + 1)]
+    top = np.full(count, -np.inf)
+    per = max(2, _CHUNK // count)
+    slices = -(-len(cols) // max(2, min(_SCREEN_PAIRS // 10, _SCREEN_PAIRS // count)))
+    bounds = [len(cols) * j // slices for j in range(slices + 1)]
+    held, held_screen = [], []
     for i, end in zip(bounds, bounds[1:]):
-        values = _norms(cols[i:end] @ wide, norm, weights[i:end])
-        top = np.argmax(values, axis=0)
-        top_values = values[top, np.arange(count)]
-        better = top_values > best
-        best[better] = top_values[better]
-        cell[better] = i + top[better]
+        screen = _screen(cols[i:end], weights[i:end, 0], coefs, norm)
+        np.maximum(top, screen.max(axis=1), out=top)
+        slack = margin * np.maximum(1.0, top)
+        near = np.flatnonzero((screen >= (top - slack)[:, None]).any(axis=0))
+        held.append(i + near)
+        held_screen.append(screen[:, near])
+        if sum(map(len, held)) < per and end < len(cols):
+            continue
+        near, screen = np.concatenate(held), np.concatenate(held_screen, axis=1)
+        held, held_screen = [], []
+        keep = (screen >= (top - slack)[:, None]).any(axis=0)
+        # At theta = 0, cells 1 .. len(phis) - 1 repeat the pole of cell 0,
+        # value for value, and the first cell wins ties.
+        if thetas[0] == 0.0:
+            keep &= (near == 0) | (near >= len(phis))
+        near, screen = near[keep], screen[:, keep].T
+        if len(near) == 1:
+            near, screen = np.repeat(near, 2), np.repeat(screen, 2, axis=0)
+        # Products of at most about per directions, and at least two.
+        parts = min(-(-len(near) // per), len(near) // 2)
+        for part in np.array_split(np.arange(len(near)), parts) if parts else []:
+            values = _norms(cols[near[part]] @ wide, norm, weights[near[part]])
+            if np.any(np.abs(values - screen[part]) > 0.5 * slack):
+                return None
+            top_cell = np.argmax(values, axis=0)
+            top_values = values[top_cell, np.arange(count)]
+            better = top_values > best
+            best[better] = top_values[better]
+            cell[better] = near[part][top_cell[better]]
     # One refinement pass at 10x resolution around each state's best cell,
     # its directions, columns and weights built pass by pass.
     dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * REFINE_FACTOR + 1)
@@ -331,9 +448,10 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
         raise ValueError("norm must be 'hs' or 'trace'")
     rho = validate_state(rho)
     t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
+    c_rho, c_s = 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2
 
     def terms_of(states):
-        terms = _kraus_terms(states, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+        terms = _kraus_terms(states, c_rho, c_s)
         return _block_order(terms) if norm == "trace" else terms
     flat = rho.reshape(-1, 4, 4)
     ms, degenerate = _marginal_direction(flat)
@@ -345,7 +463,8 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
     # slice with its own terms (about 10 KB a state).
     grid, half = np.flatnonzero(degenerate), max(1, _CHUNK // 2)
     for i in range(0, len(grid), half):
-        out[grid[i : i + half]] = _grid_maximize(terms_of(flat[grid[i : i + half]]), norm)
+        states = flat[grid[i : i + half]]
+        out[grid[i : i + half]] = _grid_maximize(terms_of(states), norm, (c_rho - c_s) * states)
     return _out(out.reshape(rho.shape[:-2]))
 
 

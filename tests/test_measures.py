@@ -11,6 +11,8 @@ from thermomin import (
     WeakStrength,
     analytic_state_at,
     bloch_decompose,
+    brute_force_hs_min,
+    brute_force_trace_min,
     canonicalize_correlations,
     concurrence,
     concurrence_xstate,
@@ -24,6 +26,7 @@ from thermomin import (
 )
 
 from _helpers import bell_phi_plus, ginibre_state, random_qubit_unitary
+from test_batched import _canonical_state, branches
 
 WEAK_FACTOR_AT_ONE = 0.6759728631680573  # 1 - sech(1)/2
 
@@ -130,6 +133,53 @@ class TestTraceMin:
             for t in np.linspace(0.0, 4.0, 15):
                 rho = analytic_state_at(p, t)
                 assert trace_min(rho) == pytest.approx(2.0 * abs(rho[1, 2]), abs=1e-12)
+
+
+class TestTraceMinBranchCuts:
+    """Both sides of trace_min's axis and plane cuts.
+
+    trace_min takes its axis or plane form when one or two squared
+    components of the rotated Bloch vector are at most 1e-14 of its squared
+    length. An off-axis (or off-plane) component of relative size eps
+    crosses that cut at eps = 1e-7. On seeded rotated states, on both sides
+    and far from it, trace_min stays within 1.32e-14 of the oracle's direct
+    route, worst just below the cut in the plane case, where the plane form
+    drops a component of relative size 1e-7; hs_min stays within 1.4e-17.
+    """
+
+    CUT = 1e-7
+    SIZES = [0.0, *(10.0**-e for e in range(3, 13)), CUT * (1.0 - 1e-3), CUT * (1.0 + 1e-3)]
+
+    @staticmethod
+    def states(case, eps):
+        """30 locally rotated states with diagonal correlations whose a-side
+        Bloch vector, of length 0.2 in the canonical frame, lies on an axis or
+        in a plane but for a component of relative size eps."""
+        rng = np.random.default_rng(90)
+        states = []
+        for n in range(30):
+            i = n % 3
+            j, k = [a for a in range(3) if a != i][:: 1 if n % 2 else -1]
+            x = np.zeros(3)
+            if case == "axis":
+                x[i], x[j] = 1.0, eps
+            else:
+                angle = rng.uniform(0.3, 1.2)
+                x[i], x[j], x[k] = math.cos(angle), math.sin(angle), eps
+            states.append(_canonical_state(rng, 0.2 * np.sign(rng.normal(size=3)) * x / np.linalg.norm(x)))
+        return np.array(states)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, below, above", [("axis", "axis", "plane"), ("plane", "plane", "generic")])
+    @pytest.mark.parametrize("eps", SIZES, ids=lambda eps: f"{eps:.4g}")
+    def test_branch_and_agreement_with_the_oracle(self, case, below, above, eps):
+        states = self.states(case, eps)
+        trace_branch, _ = branches(states)
+        # eps = 1e-7 itself sits on the cut, where rounding picks the side.
+        if eps != self.CUT:
+            assert set(trace_branch) == {below if eps < self.CUT else above}
+        assert np.max(np.abs(trace_min(states) - brute_force_trace_min(states))) <= 2e-14
+        assert np.max(np.abs(hs_min(states) - brute_force_hs_min(states))) <= 3e-17
 
 
 class TestCanonicalize:
