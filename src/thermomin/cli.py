@@ -109,9 +109,11 @@ def _states_on_grid(p: dynamics.ModelParams, t_max: float, t_steps: int, integra
     """States at the t_steps uniform output times, exact or integrated.
 
     integrator "rk4" selects the fixed-step order-5 integrator
-    (dynamics.integrate); the name is kept for existing callers. Its output
-    rows are copied out of the trajectory, so the trajectory, up to 256 MB
-    at MAX_STEPS, is freed on return.
+    (dynamics.integrate); the name is kept for existing callers. It takes sub
+    steps per output interval and keeps every sub-th state as it steps
+    (dynamics._integrate_rows), so the rows are bitwise integrate's
+    states[::sub] and the memory held is that of the rows and one window of
+    steps, not of the trajectory (256 MB at MAX_STEPS).
     """
     times = np.linspace(0.0, t_max, t_steps)
     if integrator == "analytic":
@@ -119,8 +121,7 @@ def _states_on_grid(p: dynamics.ModelParams, t_max: float, t_steps: int, integra
     if integrator == "rk4":
         per_unit = dynamics.DEFAULT_STEPS_PER_UNIT_TIME
         sub = max(1, math.ceil(per_unit * t_max / (t_steps - 1)))
-        traj = dynamics.integrate(p, t_max, steps=sub * (t_steps - 1))
-        return times, traj.states[::sub].copy()
+        return times, dynamics._integrate_rows(p, t_max, sub * (t_steps - 1), sub)
     raise InvalidConfig(f"unknown integrator {integrator!r} (use 'analytic' or 'rk4')")
 
 

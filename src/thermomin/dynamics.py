@@ -22,13 +22,18 @@ DEFAULT_STEPS_PER_UNIT_TIME = 100
 INTEGRATOR_ORDER = 5
 SUDDEN_DEATH_HORIZON = 50.0
 SUDDEN_DEATH_XTOL = 1e-9
-# Largest step count integrate accepts: it stores every step's 4x4 state,
-# 256 bytes, so this bounds the trajectory at 256 MB (gamma*t up to 10^4 at
-# the default step density).
+# Largest step count the integrator accepts (gamma*t up to 10^4 at the
+# default step density). A sweep holds a window of steps, not all of them
+# (see _integrate_rows), so this bounds its time, about 1 s; integrate returns
+# every step's 4x4 state, 256 bytes, so its trajectory stays below 256 MB.
 MAX_STEPS = 1_000_000
 
-# Stored states advanced per batched product of step powers in integrate.
+# Stored states advanced per batched product of step powers.
 _BLOCK = 50
+# New states per window of _integrate_rows when it keeps every few states: a
+# multiple of _BLOCK, so that its blocks are integrate's. With the state
+# carried over, a window takes 64 KB, below glibc's 128 KB mmap threshold.
+_WINDOW = 5 * _BLOCK
 # Equal cells per pass of sudden_death_time's bracket search: a pass is one
 # call on their 63 interior points; six narrow [0, 50] to 50/64^6 = 7.5e-10.
 _SECTIONS = 64
@@ -216,7 +221,25 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     finite, raises StepTooLarge naming the first such step; for a state that is
     not finite it also names h (2n+1), the step in units of the decay time.
     Only a trajectory that Gershgorin discs cannot certify (they certify every
-    step of the paper's X family) takes a batched eigvalsh.
+    step of the paper's X family) takes a batched eigvalsh. The trajectory is
+    _integrate_rows keeping every state, so the sweeps, which keep every few,
+    step the same states.
+    """
+    states = _integrate_rows(p, t_max, steps, 1)
+    return Trajectory(times=np.linspace(0.0, t_max, len(states)), states=states)
+
+
+def _integrate_rows(p: ModelParams, t_max: float, steps: int | None, every: int) -> np.ndarray:
+    """States 0, every, 2 every, ... of integrate(p, t_max, steps), bitwise, as a (steps // every + 1, 4, 4) array.
+
+    integrate's argument checks run first, before any allocation. For every
+    = 1 the states are stepped straight into the result, which is integrate's
+    trajectory. Otherwise they are stepped into a window: the state carried
+    over from the window before, then _WINDOW new ones in integrate's blocks,
+    from which the wanted states are copied out; so a sweep holds its rows and
+    one window, not its steps. Each window's new states are certified, or
+    checked, as integrate checks its trajectory: the first state outside the
+    slack raises the same StepTooLarge, and its times are built only then.
     """
     if not (isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -227,37 +250,47 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     if not (1 <= steps <= MAX_STEPS):
         raise ValueError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     h = t_max / steps
-    times = np.linspace(0.0, t_max, steps + 1)
-    states = np.empty((steps + 1, 4, 4), dtype=complex)
-    states[0] = initial_state(p)
+    rows = np.empty((steps // every + 1, 4, 4), dtype=complex)
+    span = steps if every == 1 else _WINDOW
+    window = rows if every == 1 else np.empty((min(span, steps) + 1, 4, 4), dtype=complex)
+    window[0] = initial_state(p)
     # A step far too large can overflow, in its Taylor terms, its powers or
     # in the states, before the check; the check below reports it as
-    # StepTooLarge, not as a floating-point warning.
+    # StepTooLarge, not as a floating-point warning. Apart from its eigvalsh,
+    # which sets its own error state, the check only compares and copies.
     with np.errstate(all="ignore"):
         # Work in scaled time: d(rho)/d(gamma t) = rhs/gamma.
         step = _taylor_step(h * _rhs_superoperator(p) / p.gamma)
         powers = np.empty((min(_BLOCK, steps), 16, 16), dtype=complex)
         powers[0] = step
         for j in range(1, len(powers)):
-            powers[j] = step @ powers[j - 1]
-        for k in range(0, steps, len(powers)):
-            block = states[k + 1 : k + 1 + len(powers)]
-            np.matmul(powers[: len(block)].reshape(-1, 16), states[k].reshape(-1), out=block.reshape(-1))
-            block += block.conj().swapaxes(-1, -2)
-            block *= 0.5
-            block /= np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
-    _check_steps(states[1:], times[1:], h * (2.0 * p.n + 1.0))
-    return Trajectory(times=times, states=states)
+            np.matmul(step, powers[j - 1], out=powers[j])
+        for start in range(0, steps, span):
+            fresh = window[1 : 1 + min(span, steps - start)]
+            for k in range(0, len(fresh), len(powers)):
+                block = fresh[k : k + len(powers)]
+                np.matmul(powers[: len(block)].reshape(-1, 16), window[k].reshape(-1), out=block.reshape(-1))
+                block += block.conj().swapaxes(-1, -2)
+                block *= 0.5
+                block /= np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
+            if not _psd_certified(fresh, INTEGRATOR_PSD_SLACK):
+                times = np.linspace(0.0, t_max, steps + 1)[start + 1 : start + 1 + len(fresh)]
+                _check_steps(fresh, times, h * (2.0 * p.n + 1.0))
+            if window is not rows:
+                first = -start % every
+                kept = window[first : len(fresh) + 1 : every]
+                rows[(start + first) // every :][: len(kept)] = kept
+                window[0] = fresh[-1]
+    return rows
 
 
 def _check_steps(states: np.ndarray, times: np.ndarray, decay_step: float):
-    """StepTooLarge at the first of states outside the integrator slack.
+    """StepTooLarge at the first of states, which Gershgorin discs did not
+    certify, outside the integrator slack.
 
     decay_step is h (2n+1), named when the first such state is not finite."""
-    if _psd_certified(states, INTEGRATOR_PSD_SLACK):
-        return
     # The states before the first non-finite one are solved in place, as a
-    # view: a masked copy would double the trajectory's memory.
+    # view: a masked copy would double the memory of the states.
     finite = np.isfinite(states).all(axis=(1, 2))
     ok = len(states) if finite.all() else int(np.argmin(finite))
     lowest = np.full(len(states), np.nan)

@@ -361,17 +361,32 @@ def _grid_maximize(terms, norm: str, scaled) -> np.ndarray:
     grid would keep) are those of the full search. Should an evaluated
     screen value stray from its Kraus value by more than half the margin,
     the search runs again with every cell taking the Kraus route: a screen
-    that strays near a top costs time, not a value. The square root
-    amplifies the screen's rounding where D vanishes, so a product state's
-    trace norm takes that second search.
+    that strays near a top costs time, not a value.
+
+    A state whose disturbance (nearly) vanishes, such as a product state
+    I/2 x tau, is flat: three times the sphere mean of its hs screen, which
+    bounds that screen at every direction, is at most _SCREEN_MARGIN. Every
+    cell then lies within the margin of its top, and the trace screen's
+    square root amplifies its rounding past half the margin. So the flat
+    states take their own search with every cell on the Kraus route, and
+    the others of the slice keep the screen.
 
     The refinement's 441 directions per state all take the Kraus route:
     building their directions, columns and weights costs more than their
     norms, and screening them measured slower.
     """
-    coefs = _screen_coefficients(scaled)
-    best = _screened_search(terms, norm, coefs, _SCREEN_MARGIN)
-    return _screened_search(terms, norm, coefs, math.inf) if best is None else best
+    fro, det = _screen_coefficients(scaled)
+    # Columns 1, 5 and 9 take m_x^2, m_y^2 and m_z^2, whose sphere means are 1/3.
+    flat = 3.0 * fro[:, 0] + fro[:, 1] + fro[:, 5] + fro[:, 9] <= _SCREEN_MARGIN
+    best = np.empty(len(terms))
+    for group, margin in ((~flat, _SCREEN_MARGIN), (flat, math.inf)):
+        if group.any():
+            # A group of the whole slice takes its terms as they are, not a copy.
+            group = slice(None) if group.all() else group
+            part = terms[group], norm, (fro[group], det[group])
+            found = _screened_search(*part, margin)
+            best[group] = _screened_search(*part, math.inf) if found is None else found
+    return best
 
 
 def _screened_search(terms, norm: str, coefs, margin: float):

@@ -162,20 +162,16 @@ class TestTimeSweep:
         assert run_time_sweep(cfg, integrator=integrator) == len(expected) - 1
         assert out.read_text(encoding="ascii") == "".join(expected)
 
-    def test_rk4_rows_are_copied_out_of_the_trajectory(self, monkeypatch):
-        trajectories = []
-        integrate = dynamics.integrate
-
-        def keep(*args, **kwargs):
-            trajectories.append(integrate(*args, **kwargs))
-            return trajectories[-1]
-
-        monkeypatch.setattr(dynamics, "integrate", keep)
-        _, states = _states_on_grid(ModelParams(n=0.5, r=0.8), 2.0, 5, "rk4")
-        full = trajectories[0].states
-        assert len(full) == 201
-        assert not np.shares_memory(states, full)
-        assert states.tobytes() == full[::50].tobytes()
+    @pytest.mark.parametrize("t_max, t_steps, sub", [(2.0, 5, 50), (50.0, 11, 500), (0.3, 11, 3)])
+    def test_rk4_rows_equal_the_trajectory_rows_and_own_their_memory(self, t_max, t_steps, sub):
+        # The rows are stepped in a window, not cut from a whole trajectory;
+        # they must still be its every sub-th state, in an array of their own.
+        p = ModelParams(n=0.5, r=0.8)
+        times, states = _states_on_grid(p, t_max, t_steps, "rk4")
+        full = dynamics.integrate(p, t_max, steps=sub * (t_steps - 1))
+        assert len(full) == sub * (t_steps - 1) + 1
+        assert states.tobytes() == full.states[::sub].tobytes()
+        assert states.flags.owndata and states.flags.c_contiguous
 
     def test_invalid_configs_rejected(self, tmp_path):
         out = str(tmp_path / "x.csv")

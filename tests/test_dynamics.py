@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,15 @@ from thermomin import (
     validate_state,
 )
 from thermomin import dynamics
-from thermomin.dynamics import MAX_STEPS, SUDDEN_DEATH_HORIZON, SUDDEN_DEATH_XTOL, _rhs_superoperator, _taylor_step
+from thermomin.cli import _states_on_grid
+from thermomin.dynamics import (
+    MAX_STEPS,
+    SUDDEN_DEATH_HORIZON,
+    SUDDEN_DEATH_XTOL,
+    _integrate_rows,
+    _rhs_superoperator,
+    _taylor_step,
+)
 
 from _helpers import ginibre_state
 
@@ -409,6 +418,78 @@ class TestIntegrate:
         # Step 273 lies in the sixth block of 50 stored states.
         with pytest.raises(StepTooLarge, match=r"gamma\*t = 62\.790000 has eigenvalue -5\.758e-04"):
             integrate(ModelParams(n=3.0, r=0.5), 92.0, steps=400)
+
+
+@pytest.mark.filterwarnings("error")
+class TestIntegrateRows:
+    """The sweeps keep every every-th state as they step, in a window of
+    dynamics._WINDOW new states, instead of the whole trajectory."""
+
+    # 7 and 3 do not divide the window; 300 and 5000 exceed it.
+    @pytest.mark.parametrize("steps", [1, 49, 50, 51, 249, 250, 251, 5000])
+    @pytest.mark.parametrize("every", [1, 3, 7, 250, 300, 5000])
+    def test_rows_are_the_trajectory_rows_bitwise(self, steps, every):
+        p = ModelParams(n=0.7, r=0.6)
+        t_max = steps / 100.0
+        rows = _integrate_rows(p, t_max, steps, every)
+        assert len(rows) == steps // every + 1
+        assert rows.tobytes() == integrate(p, t_max, steps).states[::every].tobytes()
+
+    def test_seeded_rows_are_the_trajectory_rows_bitwise(self):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            p = ModelParams(n=float(rng.uniform(0.0, 3.0)), r=float(rng.uniform(0.0, 1.0)))
+            steps, every = int(rng.integers(1, 3000)), int(rng.integers(1, 600))
+            t_max = float(rng.uniform(0.5, 2.0)) * steps / 100.0
+            expected = integrate(p, t_max, steps).states[::every]
+            assert _integrate_rows(p, t_max, steps, every).tobytes() == expected.tobytes(), (p, steps, every)
+
+    @pytest.mark.parametrize(
+        "n, r, t_max, steps",
+        [(1.0, 1.0, 5.0, 1), (2.0, 0.5, 660.0, 2000), (3.0, 0.5, 92.0, 400), (3e153, 1.0, 5.0, 597)],
+        ids=["giant-step", "step-7-of-2000", "step-273-of-400", "not-finite"],
+    )
+    @pytest.mark.parametrize("every", [1, 3, 7, 300])
+    def test_step_too_large_messages_equal_integrates(self, n, r, t_max, steps, every):
+        # Step 273 lies past the first window; n = 3e153 is the CLI's
+        # sweep-time --n 3e153, whose states are not finite.
+        p = ModelParams(n=n, r=r)
+        with pytest.raises(StepTooLarge) as expected:
+            integrate(p, t_max, steps)
+        with pytest.raises(StepTooLarge) as got:
+            _integrate_rows(p, t_max, steps, every)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "t_max, steps, message",
+        [
+            (math.inf, 10, "t_max must be finite and > 0, got inf"),
+            (1.0, 10.0, "steps must be an integer, got 10.0"),
+            (1.0, True, "steps must be an integer, got True"),
+            (1e6, 10**8, f"steps must lie in [1, {MAX_STEPS}], got 100000000"),
+        ],
+    )
+    def test_arguments_are_checked_before_any_allocation(self, monkeypatch, t_max, steps, message):
+        def no_empty(*args, **kwargs):
+            raise AssertionError("allocated before the argument checks")
+
+        monkeypatch.setattr(np, "empty", no_empty)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _integrate_rows(ModelParams(n=1.0, r=1.0), t_max, steps, 10)
+
+    @pytest.mark.parametrize("t_max", [50.0, 1000.0], ids=["5000-steps", "100000-steps"])
+    def test_sweep_memory_does_not_grow_with_the_steps(self, t_max):
+        # Measured 0.32-0.34 MB at both: 11 rows, one 64 KB window and the 50 step
+        # powers (205 KB); the whole trajectory took 1.28 and 25.6 MB.
+        p = ModelParams(n=0.6021, r=0.4363)
+        tracemalloc.start()
+        try:
+            _, states = _states_on_grid(p, t_max, 11, "rk4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 11
+        assert peak < 0.5e6
 
 
 class TestSuddenDeath:

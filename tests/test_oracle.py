@@ -812,6 +812,54 @@ class TestScreen:
         assert f(states).tobytes() == right.tobytes()
         assert outcomes[0] is None and outcomes[1] is not None
 
+    def test_flat_states_take_their_own_full_search(self, monkeypatch):
+        # A product state I/2 x tau has no disturbance to screen: every cell
+        # of its slice would lie within the margin of its top near 0. It takes
+        # its own search over every cell; the other states keep the screen.
+        states = self.stack(75)
+        tau = partial_trace(ginibre_state(np.random.default_rng(76)), "b")
+        states[3] = np.kron(ID2 / 2.0, tau)
+        assert _marginal_direction(states)[1].all()
+        searches, rows = [], []
+        search, own, norms = oracle._screened_search, oracle._own_direction_values, oracle._norms
+
+        def spied_search(terms, norm, coefs, margin):
+            searches.append((len(terms), margin))
+            rows.append(0)
+            return search(terms, norm, coefs, margin)
+
+        def spied_own(*args):
+            # The refinement's products are not coarse cells.
+            rows.append(None)
+            try:
+                return own(*args)
+            finally:
+                rows.pop()
+
+        def counted(product, norm, weights=None):
+            if rows[-1] is not None:
+                rows[-1] += len(product)
+            return norms(product, norm, weights)
+
+        monkeypatch.setattr(oracle, "_screened_search", spied_search)
+        monkeypatch.setattr(oracle, "_own_direction_values", spied_own)
+        monkeypatch.setattr(oracle, "_norms", counted)
+        screened = {}
+        _, phis, cols, _ = _coarse_grid()
+        for name, f in ORACLES.items():
+            searches.clear()
+            rows.clear()
+            screened[name] = f(states)
+            assert searches == [(len(states) - 1, oracle._SCREEN_MARGIN), (1, math.inf)], name
+            # The other states' products skip most cells; the flat state's
+            # take every cell but the pole's 2 g - 1 repeats of cell 0.
+            assert rows[0] < len(cols) // 10, name
+            assert rows[1] == len(cols) - (len(phis) - 1), name
+        monkeypatch.setattr(oracle, "_screened_search", search)
+        monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
+        for name, f in ORACLES.items():
+            assert screened[name].tobytes() == f(states).tobytes(), name
+
     def test_a_ten_state_search_stays_below_1_mb(self):
         # Measured 0.40 MB (hs) and 0.55 MB (trace): the screen slices and
         # the Kraus products are bounded by pairs, as the passes were.
