@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -56,7 +57,9 @@ class SweepConfig:
     def validate(self):
         if not self.n_values or not self.r_values or not self.x_values:
             raise InvalidConfig("n, r and x value lists must be non-empty")
-        # Bounded before any array is sized from it, as integrate bounds its steps.
+        # Checked before any array is sized from it, as integrate checks its steps.
+        if isinstance(self.t_steps, bool) or not isinstance(self.t_steps, Integral):
+            raise InvalidConfig(f"steps must be an integer, got {self.t_steps!r}")
         if not (2 <= self.t_steps <= dynamics.MAX_STEPS):
             raise InvalidConfig(f"steps must lie in [2, {dynamics.MAX_STEPS}], got {self.t_steps}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
@@ -72,9 +75,9 @@ class SweepConfig:
             raise InvalidConfig("an output path is required (--out)")
 
 
-def _cells(*columns, end: str = ","):
-    """Each row of the 1-d columns as "%.12g" cells then end; + 0.0 writes a negative zero as 0."""
-    row_format = ",".join(["%.12g"] * len(columns)) + end
+def _cells(*columns):
+    """Each row of the 1-d columns as "%.12g" cells, each followed by ","; + 0.0 writes a negative zero as 0."""
+    row_format = "%.12g," * len(columns)
     return [row_format % tuple(row) for row in (np.column_stack(columns) + 0.0).tolist()]
 
 

@@ -29,9 +29,9 @@ only. Its direction columns and trace-norm weights depend on the grid
 alone and are built once per process (see ``_coarse_grid``); the
 refinement forms those of its directions in each pass. A screen, the
 disturbance's 2x2 block taken straight from the state, picks the few
-coarse cells that can hold a state's best value, and only those take the
-Kraus route (see ``_grid_maximize``); every value returned is still a
-Kraus-route value.
+coarse cells that can hold each state's best value, and only those take
+the Kraus route, in products of that state's own terms (see
+``_grid_maximize``); every value returned is still a Kraus-route value.
 
 Every ``brute_force_*`` function takes one 4x4 state, for which it returns
 a float, or a (..., 4, 4) stack, for which it returns an array of the
@@ -54,13 +54,13 @@ from .qstate import ID2, PAULIS, validate_state
 
 GRID_RESOLUTION = 100
 REFINE_FACTOR = 10
-# (direction, state) pairs per Kraus product, or refinement pass, of a grid
-# search. A product's disturbances take 256 KB at 1000 pairs and its
-# trace-norm temporaries about as much again. A state's value does not
-# depend on the product it is computed in.
+# Coarse cells per Kraus product of one state, and (direction, state) pairs
+# per refinement pass, of a grid search. A product's disturbances take
+# 256 KB at 1000 rows and its trace-norm temporaries about as much again.
+# A state's value does not depend on the product it is computed in.
 _CHUNK = 1000
-# A coarse cell takes the Kraus route when its screen value lies within
-# _SCREEN_MARGIN max(1, top) of the state's running top (see _grid_maximize).
+# A state's coarse cell takes the Kraus route when its screen value lies
+# within _SCREEN_MARGIN max(1, top) of that state's top (see _grid_maximize).
 # A screen slice holds at most _SCREEN_PAIRS (direction, state) pairs and
 # _SCREEN_PAIRS // 10 directions: at 10 states, 1,000 to 2,000 directions a
 # slice measured fastest, and the whole grid at once slower.
@@ -353,98 +353,72 @@ def _grid_maximize(terms, norm: str, scaled) -> np.ndarray:
     S = (m.sigma) x I holds only the block B = (<u+| x I) X (|u-> x I) of
     the (S, 4, 4) states scaled = X = (c_rho - c_s) rho (see
     ``_trace_weights``), and ``_screen`` takes its norm straight from X. A
-    cell takes the Kraus route only when its screen value lies within
-    _SCREEN_MARGIN max(1, top) of the state's running top screen value. On
-    seeded states the screen stays within 3e-15 of the Kraus value at every
-    cell, so every other cell's Kraus value lies below the best, and the
-    best value and cell (the first on ties, as one argmax over the whole
-    grid would keep) are those of the full search. Should an evaluated
-    screen value stray from its Kraus value by more than half the margin,
-    the search runs again with every cell taking the Kraus route: a screen
-    that strays near a top costs time, not a value.
+    cell takes the Kraus route for a state, with that state's own terms,
+    only when its screen value lies within _SCREEN_MARGIN max(1, top) of
+    the state's top screen value. On seeded states the screen stays within
+    3e-15 of the Kraus value at every cell, so every other cell's Kraus
+    value lies below the best, and the best value and cell (the first on
+    ties, as one argmax over the whole grid would keep) are those of the
+    full search.
 
-    A state whose disturbance (nearly) vanishes, such as a product state
-    I/2 x tau, is flat: three times the sphere mean of its hs screen, which
-    bounds that screen at every direction, is at most _SCREEN_MARGIN. Every
-    cell then lies within the margin of its top, and the trace screen's
-    square root amplifies its rounding past half the margin. So the flat
-    states take their own search with every cell on the Kraus route, and
-    the others of the slice keep the screen.
+    A state takes every cell but the pole's repeats through the Kraus route
+    when one of its screen values strays from its Kraus value by more than
+    half the margin, so a screen that strays near a top costs time, not a
+    value. So does a flat state, whose disturbance (nearly) vanishes, such
+    as a product state I/2 x tau: three times the sphere mean of its hs
+    screen, which bounds that screen at every direction, is at most
+    _SCREEN_MARGIN. Every cell then lies within the margin of its top, and
+    the trace screen's square root amplifies its rounding past half the
+    margin.
 
     The refinement's 441 directions per state all take the Kraus route:
     building their directions, columns and weights costs more than their
     norms, and screening them measured slower.
     """
-    fro, det = _screen_coefficients(scaled)
-    # Columns 1, 5 and 9 take m_x^2, m_y^2 and m_z^2, whose sphere means are 1/3.
-    flat = 3.0 * fro[:, 0] + fro[:, 1] + fro[:, 5] + fro[:, 9] <= _SCREEN_MARGIN
-    best = np.empty(len(terms))
-    for group, margin in ((~flat, _SCREEN_MARGIN), (flat, math.inf)):
-        if group.any():
-            # A group of the whole slice takes its terms as they are, not a copy.
-            group = slice(None) if group.all() else group
-            part = terms[group], norm, (fro[group], det[group])
-            found = _screened_search(*part, margin)
-            best[group] = _screened_search(*part, math.inf) if found is None else found
-    return best
-
-
-def _screened_search(terms, norm: str, coefs, margin: float):
-    """``_grid_maximize`` at the given screen margin; None once an evaluated
-    screen value strays from its Kraus value by more than half the margin.
-
-    Cells near a running top wait with their screen values until they fill
-    a Kraus product of about _CHUNK (direction, state) pairs, which a
-    later top can shrink. Each product takes at least two directions: a
-    one-direction product would take BLAS's matrix-vector kernel, whose sums
-    can differ in the last bit from the matrix-matrix kernel's, and
-    _brute_force passes slices of at most _CHUNK // 2 states.
-    """
     count = len(terms)
     g = GRID_RESOLUTION
     thetas, phis, cols, weights = _coarse_grid()
-    # The terms side by side, (10, 32 S): columns (state, entry) for hs, and
-    # (aa', state, bb') for the block-ordered trace terms, so that a product
-    # reshapes to the (k, 4, 4 S) blocks of ``_trace_norms`` as a view.
-    rows = 4 if norm == "trace" else 1
-    wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
-    best = np.full(count, -np.inf)
-    cell = np.zeros(count, dtype=int)
+    fro, det = _screen_coefficients(scaled)
+    # Columns 1, 5 and 9 take m_x^2, m_y^2 and m_z^2, whose sphere means are 1/3.
+    flat = 3.0 * fro[:, 0] + fro[:, 1] + fro[:, 5] + fro[:, 9] <= _SCREEN_MARGIN
+    # At theta = 0, cells 1 .. len(phis) - 1 repeat the pole of cell 0, value
+    # for value, and the first cell wins ties: only cell 0 of them is searched.
+    repeats = len(phis) if thetas[0] == 0.0 else 1
+    # The (state, cell) pairs near each state's running top, as keys
+    # state * len(cols) + cell, and their screen values, slice by slice.
+    keys, pair_screen = [], []
     top = np.full(count, -np.inf)
-    per = max(2, _CHUNK // count)
     slices = -(-len(cols) // max(2, min(_SCREEN_PAIRS // 10, _SCREEN_PAIRS // count)))
     bounds = [len(cols) * j // slices for j in range(slices + 1)]
-    held, held_screen = [], []
     for i, end in zip(bounds, bounds[1:]):
-        screen = _screen(cols[i:end], weights[i:end, 0], coefs, norm)
+        screen = _screen(cols[i:end], weights[i:end, 0], (fro, det), norm)
         np.maximum(top, screen.max(axis=1), out=top)
-        slack = margin * np.maximum(1.0, top)
-        near = np.flatnonzero((screen >= (top - slack)[:, None]).any(axis=0))
-        held.append(i + near)
-        held_screen.append(screen[:, near])
-        if sum(map(len, held)) < per and end < len(cols):
-            continue
-        near, screen = np.concatenate(held), np.concatenate(held_screen, axis=1)
-        held, held_screen = [], []
-        keep = (screen >= (top - slack)[:, None]).any(axis=0)
-        # At theta = 0, cells 1 .. len(phis) - 1 repeat the pole of cell 0,
-        # value for value, and the first cell wins ties.
-        if thetas[0] == 0.0:
-            keep &= (near == 0) | (near >= len(phis))
-        near, screen = near[keep], screen[:, keep].T
-        if len(near) == 1:
-            near, screen = np.repeat(near, 2), np.repeat(screen, 2, axis=0)
-        # Products of at most about per directions, and at least two.
-        parts = min(-(-len(near) // per), len(near) // 2)
-        for part in np.array_split(np.arange(len(near)), parts) if parts else []:
-            values = _norms(cols[near[part]] @ wide, norm, weights[near[part]])
-            if np.any(np.abs(values - screen[part]) > 0.5 * slack):
-                return None
-            top_cell = np.argmax(values, axis=0)
-            top_values = values[top_cell, np.arange(count)]
-            better = top_values > best
-            best[better] = top_values[better]
-            cell[better] = near[part][top_cell[better]]
+        # The pole's repeats, masked in the screen itself: a (S, k) mask kept
+        # alive into the next slice raised validate's peak RSS by about 0.2 MB.
+        screen[:, max(1, i) - i : max(repeats, i) - i] = -np.inf
+        # Flat states keep no cells here.
+        floor = np.where(flat, np.inf, top - _SCREEN_MARGIN * np.maximum(1.0, top))
+        found = np.flatnonzero(screen >= floor[:, None])
+        state, c = np.divmod(found, end - i)
+        keys.append(state * len(cols) + i + c)
+        pair_screen.append(screen.take(found))
+    pair_state, pair_cell = np.divmod(np.concatenate(keys), len(cols))
+    pair_screen = np.concatenate(pair_screen)
+    # Drop the pairs below the margin of their state's final top.
+    near = pair_screen >= floor[pair_state]
+    slack = 0.5 * _SCREEN_MARGIN * np.maximum(1.0, top)
+    best = np.empty(count)
+    cell = np.empty(count, dtype=int)
+    for k in range(count):
+        mine = near & (pair_state == k)
+        # Rebinding screen frees the last slice's screen before the refinement.
+        cells, screen = pair_cell[mine], pair_screen[mine]
+        values = None if flat[k] else _cell_values(terms[k], cells, norm)
+        if values is None or np.abs(values - screen).max() > slack[k]:
+            cells = np.r_[0, repeats : len(cols)]
+            values = _cell_values(terms[k], cells, norm)
+        j = values.argmax()
+        best[k], cell[k] = values[j], cells[j]
     # One refinement pass at 10x resolution around each state's best cell,
     # its directions, columns and weights built pass by pass.
     dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * REFINE_FACTOR + 1)
@@ -456,6 +430,22 @@ def _screened_search(terms, norm: str, coefs, margin: float):
         fine = _own_direction_values(terms[i : i + per_pass], ms_fine, norm)
         np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
     return best
+
+
+def _cell_values(terms, cells, norm: str) -> np.ndarray:
+    """Kraus-route disturbance norms, (k,), of one state with (10, 32) terms
+    at k >= 1 coarse cells, in products of at most _CHUNK cells. Each
+    product takes at least two rows: a one-row product would take BLAS's
+    matrix-vector kernel, whose sums can differ in the last bit from the
+    matrix-matrix kernel's."""
+    _, _, cols, weights = _coarse_grid()
+    rows = np.repeat(cells, 2) if len(cells) == 1 else cells
+    parts = min(-(-len(rows) // _CHUNK), len(rows) // 2)
+    values = np.empty((len(rows), 1))
+    for j in range(parts):
+        part = slice(len(rows) * j // parts, len(rows) * (j + 1) // parts)
+        values[part] = _norms(cols[rows[part]] @ terms, norm, weights[rows[part]])
+    return values[: len(cells), 0]
 
 
 def _brute_force(rho, norm: str, w: WeakStrength | None = None):

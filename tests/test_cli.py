@@ -190,6 +190,23 @@ class TestTimeSweep:
         with pytest.raises(InvalidConfig):
             run_time_sweep(SweepConfig(output_path=out), integrator="verlet")
 
+    @pytest.mark.parametrize("steps", [10.0, np.float64(10), "10", True, None], ids=repr)
+    def test_a_steps_count_that_is_not_an_integer_is_refused(self, tmp_path, steps):
+        # Each would reach np.linspace, or the range check itself, and fail
+        # there with a bare TypeError.
+        out = str(tmp_path / "x.csv")
+        for run in (run_time_sweep, run_strength_sweep):
+            with pytest.raises(InvalidConfig, match="steps must be an integer"):
+                run(SweepConfig(n_values=[0.5], r_values=[0.5], t_steps=steps, output_path=out))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_numpy_integer_steps_are_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        run_time_sweep(SweepConfig(t_steps=np.int64(3), output_path=str(out)))
+        expected = tmp_path / "y.csv"
+        run_time_sweep(SweepConfig(t_steps=3, output_path=str(expected)))
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_unwritable_path_raises(self, tmp_path):
         cfg = SweepConfig(output_path=str(tmp_path / "missing" / "x.csv"), t_steps=2)
         with pytest.raises(IoFailure):
@@ -256,7 +273,7 @@ class TestCsvFormat:
             edges += [np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)]
         values = np.concatenate([edges, rng.normal(scale=1e3, size=61), rng.uniform(0.0, 1.0, size=61)])
         table = rng.permutation(values).reshape(-1, 3)
-        assert _cells(*table.T, end="\n") == [reference_line(row) for row in table]
+        assert _cells(*table.T) == [reference_line(row)[:-1] + "," for row in table]
         assert _cells(values) == [f"{v + 0.0:.12g}," for v in values]
 
     def test_time_sweep_file_matches_reference(self, tmp_path):

@@ -668,12 +668,45 @@ def per_pass_grid_maximize(terms, norm, *_):
     return best
 
 
-@pytest.mark.parametrize("count", [1, 7, 12, 620])
-def test_cached_grid_equals_the_per_pass_search(monkeypatch, count):
+def product_state(rng):
+    """I/2 x tau: a degenerate marginal and no disturbance at all."""
+    return np.kron(ID2 / 2.0, partial_trace(ginibre_state(rng), "b"))
+
+
+def blend_stack(rng):
+    """Degenerate states, each followed by a blend lam rho + (1 - lam) I/2 x tau
+    for lam = 1e-3, 3e-4, 1e-4, 5e-5, 3e-5, 1e-5 and 3e-6. Three times the
+    sphere mean of the blends' projective hs screen runs from 4.3e-7 to
+    2.1e-12 at seed 79, across the flat cut at _SCREEN_MARGIN = 1e-9."""
+    states = []
+    for lam in (1e-3, 3e-4, 1e-4, 5e-5, 3e-5, 1e-5, 3e-6):
+        states.append(degenerate_marginal_state(rng))
+        states.append(lam * degenerate_marginal_state(rng) + (1.0 - lam) * product_state(rng))
+    return np.array(states)
+
+
+def grid_stack(kind):
+    """The stacks of ``test_cached_grid_equals_the_per_pass_search``: a count
+    of degenerate states, 620 of them with product states at a few
+    positions, or ``blend_stack``."""
+    if kind == "blends":
+        return blend_stack(np.random.default_rng(79))
+    if kind == "620-with-products":
+        rng = np.random.default_rng(80)
+        states = np.array([degenerate_marginal_state(rng) for _ in range(620)])
+        # Positions in the first 500-state slice, at its end and in the second.
+        for k in (0, 17, 499, 500, 619):
+            states[k] = product_state(rng)
+        return states
+    rng = np.random.default_rng(69 + kind)
+    return np.array([degenerate_marginal_state(rng) for _ in range(kind)])
+
+
+@pytest.mark.parametrize("kind", [1, 7, 12, 620, "620-with-products", "blends"])
+def test_cached_grid_equals_the_per_pass_search(monkeypatch, kind):
     # 1, 7 and 12 states take 1000, 142 and 83 directions per coarse pass;
     # 620 go past the 500-state slice, whose passes take 2 directions each.
-    rng = np.random.default_rng(69 + count)
-    states = np.array([degenerate_marginal_state(rng) for _ in range(count)])
+    states = grid_stack(kind)
     assert _marginal_direction(states)[1].all()
     names = ["hs", "trace", "weak-trace"]
     cached = [ORACLES[name](states) for name in names]
@@ -725,6 +758,40 @@ def coarse_screen_and_kraus(states, x, norm):
     return screen, oracle._norms(cols @ wide, norm, weights).T
 
 
+def every_cell_count():
+    """The coarse cells of an every-cell search: all but the pole's 2 g - 1
+    repeats of cell 0."""
+    _, phis, cols, _ = _coarse_grid()
+    return len(cols) - (len(phis) - 1)
+
+
+def tenth_of_the_cells():
+    return len(_coarse_grid()[2]) // 10
+
+
+def spy_kraus_cells(monkeypatch):
+    """Spy on the grid search's Kraus route. The returned dict maps each state
+    of the last ``_grid_maximize`` call to the cell counts of its
+    ``_cell_values`` calls, in order."""
+    taken, searched = {}, []
+    grid_maximize, cell_values = oracle._grid_maximize, oracle._cell_values
+
+    def spied_search(terms, norm, scaled):
+        taken.clear()
+        searched[:] = [terms]
+        return grid_maximize(terms, norm, scaled)
+
+    def spied_values(terms, cells, norm):
+        # terms is one state's row of the searched (S, 10, 32) terms.
+        k = (terms.ctypes.data - searched[0].ctypes.data) // searched[0].strides[0]
+        taken.setdefault(k, []).append(len(cells))
+        return cell_values(terms, cells, norm)
+
+    monkeypatch.setattr(oracle, "_grid_maximize", spied_search)
+    monkeypatch.setattr(oracle, "_cell_values", spied_values)
+    return taken
+
+
 class TestScreen:
     """The grid search screens every coarse cell with the block B that the
     disturbance holds, taken from the state, and sends only the cells near
@@ -752,7 +819,8 @@ class TestScreen:
     def test_pole_and_zero_strength_stacks_equal_the_per_pass_search(self, monkeypatch):
         # The first state's best coarse cell is the theta = 0 pole, whose 2 g
         # copies tie; at x = 0 the weak map leaves no disturbance to screen,
-        # so every coarse cell passes the screen and takes the Kraus route.
+        # so every state is flat and takes every coarse cell but the pole's
+        # 2 g - 1 repeats of cell 0 through the Kraus route.
         states = self.stack(72)
         assert _marginal_direction(states)[1].all()
         assert np.argmax(coarse_screen_and_kraus(states[:1], None, "hs")[0][0]) == 0
@@ -764,104 +832,83 @@ class TestScreen:
             "x=0 hs": lambda r: brute_force_weak_min(r, w0, "hs"),
             "x=0 trace": lambda r: brute_force_weak_min(r, w0, "trace"),
         }
-        rows = []
-        norms = oracle._norms
-
-        def counted(product, norm, weights=None):
-            # Coarse products are 32 S floats wide, refinement products 32.
-            rows.append(len(product) if product.shape[1] == 32 * len(states) else 0)
-            return norms(product, norm, weights)
-
-        monkeypatch.setattr(oracle, "_norms", counted)
+        taken = spy_kraus_cells(monkeypatch)
         screened = {}
         for name, f in calls.items():
-            rows.clear()
             screened[name] = f(states)
-            kraus_rows = sum(rows)
+            assert sorted(taken) == list(range(len(states))), name
             if name.startswith("x=0"):
-                # Every cell but the pole's 2 g - 1 repeats of cell 0.
-                _, phis, cols, _ = _coarse_grid()
-                assert kraus_rows == len(cols) - (len(phis) - 1)
+                assert all(cells == [every_cell_count()] for cells in taken.values()), name
             else:
-                assert kraus_rows < len(_coarse_grid()[2]) // 10
+                assert all(len(cells) == 1 and cells[0] < tenth_of_the_cells() for cells in taken.values()), name
         monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
         for name, f in calls.items():
             assert screened[name].tobytes() == f(states).tobytes(), name
 
     @pytest.mark.parametrize("name", ["hs", "trace", "weak-trace"])
-    def test_a_wrong_screen_falls_back_to_the_full_search(self, monkeypatch, name):
+    def test_a_wrong_screen_sends_only_its_states_to_every_cell(self, monkeypatch, name):
         # Without the det term the trace screen undershoots; the hs screen is
-        # scaled by 1 + 1e-6. Either strays from the Kraus values near the top
-        # by more than half the margin, so the search runs again unscreened.
+        # scaled by 1 + 1e-6. Made wrong for states 2, 5 and 7 alone, it
+        # strays from their Kraus values near the top by more than half the
+        # margin, so those states, and no other, take every cell after their
+        # screened cells, and every value stays the same.
         states = self.stack(73)
         f = ORACLES[name]
         right = f(states)
-        screen, search = oracle._screen, oracle._screened_search
-        outcomes = []
+        screen = oracle._screen
+        wrong_states = [2, 5, 7]
 
         def wrong(cols, weights, coefs, norm):
-            fro = screen(cols, weights, coefs, "hs")
-            return (1.0 + 1e-6) * fro if norm == "hs" else np.sqrt(np.maximum(2.0 * fro, 0.0))
-
-        def spied(*args):
-            outcomes.append(search(*args))
-            return outcomes[-1]
+            values = screen(cols, weights, coefs, norm)
+            fro = screen(cols, weights, coefs, "hs")[wrong_states]
+            values[wrong_states] = (1.0 + 1e-6) * fro if norm == "hs" else np.sqrt(np.maximum(2.0 * fro, 0.0))
+            return values
 
         monkeypatch.setattr(oracle, "_screen", wrong)
-        monkeypatch.setattr(oracle, "_screened_search", spied)
+        taken = spy_kraus_cells(monkeypatch)
         assert f(states).tobytes() == right.tobytes()
-        assert outcomes[0] is None and outcomes[1] is not None
+        assert sorted(taken) == list(range(len(states)))
+        for k, cells in taken.items():
+            if k in wrong_states:
+                assert len(cells) == 2 and cells[1] == every_cell_count(), k
+            else:
+                assert len(cells) == 1 and cells[0] < tenth_of_the_cells(), k
 
-    def test_flat_states_take_their_own_full_search(self, monkeypatch):
+    def test_flat_states_take_every_cell(self, monkeypatch):
         # A product state I/2 x tau has no disturbance to screen: every cell
-        # of its slice would lie within the margin of its top near 0. It takes
-        # its own search over every cell; the other states keep the screen.
+        # would lie within the margin of its top near 0. It takes every cell
+        # through the Kraus route; the other states keep the screen.
         states = self.stack(75)
-        tau = partial_trace(ginibre_state(np.random.default_rng(76)), "b")
-        states[3] = np.kron(ID2 / 2.0, tau)
+        states[3] = product_state(np.random.default_rng(76))
         assert _marginal_direction(states)[1].all()
-        searches, rows = [], []
-        search, own, norms = oracle._screened_search, oracle._own_direction_values, oracle._norms
-
-        def spied_search(terms, norm, coefs, margin):
-            searches.append((len(terms), margin))
-            rows.append(0)
-            return search(terms, norm, coefs, margin)
-
-        def spied_own(*args):
-            # The refinement's products are not coarse cells.
-            rows.append(None)
-            try:
-                return own(*args)
-            finally:
-                rows.pop()
-
-        def counted(product, norm, weights=None):
-            if rows[-1] is not None:
-                rows[-1] += len(product)
-            return norms(product, norm, weights)
-
-        monkeypatch.setattr(oracle, "_screened_search", spied_search)
-        monkeypatch.setattr(oracle, "_own_direction_values", spied_own)
-        monkeypatch.setattr(oracle, "_norms", counted)
+        taken = spy_kraus_cells(monkeypatch)
         screened = {}
-        _, phis, cols, _ = _coarse_grid()
         for name, f in ORACLES.items():
-            searches.clear()
-            rows.clear()
             screened[name] = f(states)
-            assert searches == [(len(states) - 1, oracle._SCREEN_MARGIN), (1, math.inf)], name
-            # The other states' products skip most cells; the flat state's
-            # take every cell but the pole's 2 g - 1 repeats of cell 0.
-            assert rows[0] < len(cols) // 10, name
-            assert rows[1] == len(cols) - (len(phis) - 1), name
-        monkeypatch.setattr(oracle, "_screened_search", search)
+            assert taken.pop(3) == [every_cell_count()], name
+            # The other states' (state, cell) pairs stay under a tenth of the cells.
+            assert all(len(cells) == 1 for cells in taken.values()), name
+            assert sum(cells[0] for cells in taken.values()) < tenth_of_the_cells(), name
         monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
         for name, f in ORACLES.items():
             assert screened[name].tobytes() == f(states).tobytes(), name
 
+    def test_a_product_state_leaves_the_other_states_cells_alone(self, monkeypatch):
+        # A state's Kraus cells follow from its own screen values and top, so
+        # each non-flat state takes the same cells with or without a product
+        # state in its stack (which also changes the screen slices' width).
+        states = self.stack(77)
+        mixed = np.insert(states, 4, product_state(np.random.default_rng(78)), axis=0)
+        taken = spy_kraus_cells(monkeypatch)
+        for name, f in ORACLES.items():
+            f(states)
+            alone = [taken[k] for k in range(len(states))]
+            f(mixed)
+            assert taken.pop(4) == [every_cell_count()], name
+            assert [taken[k] for k in sorted(taken)] == alone, name
+
     def test_a_ten_state_search_stays_below_1_mb(self):
-        # Measured 0.40 MB (hs) and 0.55 MB (trace): the screen slices and
+        # Measured 0.38 MB (hs) and 0.53 MB (trace): the screen slices and
         # the Kraus products are bounded by pairs, as the passes were.
         rng = np.random.default_rng(74)
         states = np.array([degenerate_marginal_state(rng) for _ in range(10)])
