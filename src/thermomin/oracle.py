@@ -14,36 +14,35 @@ coefficients of the identity minus the map. Its Hilbert-Schmidt norm is
 the sum of its squared entries. Its trace norm comes from the 2x2 block
 that D holds between the eigenvectors of m.sigma, with weights in closed
 form in m, read from terms put once into 2x2 block order (see
-``_trace_weights``, ``_trace_norms`` and ``_block_order``). So the oracle takes no matrix
-spectrum and shares no solver with ``measures``: explicit post-measurement
-states, entrywise norms and a direct maximization here, closed formulas on
-the Bloch data with LAPACK singular values and eigenvalues there.
+``_trace_weights``, ``_trace_norms`` and ``_block_order``). So the oracle
+shares no solver with ``measures``: explicit post-measurement states,
+entrywise norms, its own 3x3 Jacobi sweeps and a direct maximization here,
+closed formulas on the Bloch data with LAPACK singular values and
+eigenvalues there.
 
 Measurements that preserve the marginal of subsystem a: when it is
 non-degenerate only the one along its Bloch vector x qualifies and the
 value is computed directly; when it is degenerate, |x| < MARGINAL_EPS as
-in ``measures``, every direction qualifies and a theta/phi grid search
-with one local refinement pass takes over. Measuring along m and along -m
-is the same measurement, so the coarse grid covers the upper hemisphere
-only. Its direction columns and trace-norm weights depend on the grid
-alone and are built once per process (see ``_coarse_grid``); the
-refinement forms those of its directions in each pass. A screen, the
-disturbance's 2x2 block taken straight from the state, picks the few
-coarse cells that can hold each state's best value, and only those take
-the Kraus route, in products of that state's own terms (see
-``_grid_maximize``); every value returned is still a Kraus-route value.
+in ``measures``, every direction qualifies. Then the Hilbert-Schmidt value
+along m is a quadratic form m^T A m (see ``_quadratic_forms``), largest
+at A's top eigenvector, and the trace value is largest on the circle of
+directions orthogonal to A's bottom eigenvector, which holds the other
+two. So a degenerate state takes its largest Kraus-route value at A's
+three eigenvectors, found by cyclic Jacobi sweeps (see
+``_jacobi_eigenvectors``). Every value returned is a definition-level
+value at an explicit direction, so an error in the solve can only lower it.
 
 Every ``brute_force_*`` function takes one 4x4 state, for which it returns
 a float, or a (..., 4, 4) stack, for which it returns an array of the
 leading shape, validated once. Its non-degenerate states take one batched
-product, each along its own direction; its degenerate states share the
-passes of one grid search (see ``_grid_maximize``). A state gets bitwise
-the same value in a stack as alone.
+product, each along its own direction; its degenerate states take one
+Jacobi solve and one batched product, three directions each, per slice
+of _CHUNK states. A state gets bitwise the same value in a stack as
+alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,20 +51,10 @@ import numpy as np
 from .measures import MARGINAL_EPS, WeakStrength, _out
 from .qstate import ID2, PAULIS, validate_state
 
-GRID_RESOLUTION = 100
-REFINE_FACTOR = 10
-# Coarse cells per Kraus product of one state, and (direction, state) pairs
-# per refinement pass, of a grid search. A product's disturbances take
-# 256 KB at 1000 rows and its trace-norm temporaries about as much again.
-# A state's value does not depend on the product it is computed in.
-_CHUNK = 1000
-# A state's coarse cell takes the Kraus route when its screen value lies
-# within _SCREEN_MARGIN max(1, top) of that state's top (see _grid_maximize).
-# A screen slice holds at most _SCREEN_PAIRS (direction, state) pairs and
-# _SCREEN_PAIRS // 10 directions: at 10 states, 1,000 to 2,000 directions a
-# slice measured fastest, and the whole grid at once slower.
-_SCREEN_MARGIN = 1e-9
-_SCREEN_PAIRS = 10_000
+# A call takes its degenerate states _CHUNK at a time, each slice with its
+# own Kraus terms (about 10 KB a state), so that its memory does not grow
+# with the stack. A state's value does not depend on the slice it is in.
+_CHUNK = 500
 
 # sigma_k x I, the Paulis acting on subsystem a.
 _LIFTED_PAULIS = np.kron(PAULIS, ID2)
@@ -132,25 +121,13 @@ def _marginal_direction(rho):
     """Unit Bloch vectors x/|x| of subsystem a's marginals, x_i = Tr(marg sigma_i), of
     an (N, 4, 4) stack, and the (N,) mask of degenerate marginals, |x| < MARGINAL_EPS
     (|x| is the eigenvalue gap): every direction preserves those, and their value
-    needs the grid search. A degenerate state's row is x itself."""
+    takes the eigenvector route of ``_brute_force``. A degenerate state's row is x itself."""
     marg = np.einsum("...ikjk->...ij", rho.reshape(-1, 2, 2, 2, 2))
     x = np.einsum("...ij,kji->...k", marg, PAULIS).real
     # |x| as one dot product per row, the same float for every stack size.
     norm = np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
     degenerate = norm[:, 0] < MARGINAL_EPS
     return x / np.where(degenerate[:, None], 1.0, norm), degenerate
-
-
-def _direction_batch(thetas, phis):
-    """Unit directions for every (theta, phi) pair, theta-major so that argmax
-    tie-breaking picks the lexicographically smallest pair. Leading axes pair
-    up: (S, kt) thetas and (S, kp) phis give S grids of kt kp directions, of
-    shape (S, kt kp, 3)."""
-    tt, pp = np.broadcast_arrays(thetas[..., :, None], phis[..., None, :])
-    tt = tt.reshape(tt.shape[:-2] + (-1,))
-    pp = pp.reshape(pp.shape[:-2] + (-1,))
-    st = np.sin(tt)
-    return np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
 
 
 def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
@@ -257,195 +234,63 @@ def _own_direction_values(terms, ms, norm: str) -> np.ndarray:
     return _norms((cols @ terms).reshape(-1, 32), norm, weights).reshape(ms.shape[:-1])
 
 
-def _search_grid(thetas, phis):
-    """The theta/phi grid that the coarse passes read, kept read-only: its
-    thetas (kt,) and phis (kp,), whose cell j is (thetas[j // kp], phis[j % kp]),
-    and the (kt kp, 10) Kraus columns and (kt kp, 1, 4) trace-norm weights of
-    its theta-major directions."""
-    cols = np.empty((len(thetas) * len(phis), 10))
-    weights = np.empty((len(cols), 1, 4), dtype=complex)
-    # Built a few theta rows at a time, so that the directions and their
-    # temporaries stay small beside the grid.
-    rows = max(1, _CHUNK // len(phis))
-    for i in range(0, len(thetas), rows):
-        ms = _direction_batch(thetas[i : i + rows], phis)
-        cells = slice(i * len(phis), i * len(phis) + len(ms))
-        cols[cells] = _kraus_columns(ms)
-        weights[cells] = _trace_weights(ms)
-    grid = (thetas, phis, cols, weights)
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+def _quadratic_forms(scaled) -> np.ndarray:
+    """The (S, 3, 3) symmetric matrices A with |D|_2^2 = m^T A m for the
+    Kraus route's disturbance D along every unit direction m, for the
+    (S, 4, 4) states X = (c_rho - c_s) rho.
 
-
-@functools.cache
-def _coarse_grid():
-    """The grid of every coarse search: the upper-hemisphere half of the
-    GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, as ``_search_grid``,
-    built on first use. Its columns and weights take about 1.4 MB.
-
-    Cell (i, j) of the full grid has the antipode (g-1-i, (j+g) mod 2g), equal
-    to -m to within 7.8e-16, so the full grid is closed under antipodes. The
-    direction columns m_k m_l are the same floats for m and -m, and
-    ``_trace_weights`` takes its eigenvectors from n = s m, so a search value
-    at -m equals the one at m bit for bit (no grid direction has m_z = 0,
-    where s would not flip): the theta indices g//2 ... g-1 only repeat the
-    first g//2. The theta = 0 pole stays in, so theta-major argmax
-    tie-breaking is unchanged.
-    """
-    g = GRID_RESOLUTION
-    return _search_grid(np.linspace(0.0, math.pi, g)[: g // 2], np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False))
-
-
-def _screen_coefficients(scaled):
-    """The (S, 10) and (S, 5) coefficients of ``_screen`` for the (S, 4, 4)
-    states X = (c_rho - c_s) rho, with sigma_k standing for sigma_k x I.
-
-    2 |B|_F^2 = |X|^2 / 2 - sum_kl m_k m_l Tr(sigma_k X sigma_l X) / 2 is
-    linear in the Kraus columns [1, m_k m_l]. With the 2x2 blocks R_i of X,
-    i = aa', B = sum_i w_i R_i, so det B sums
-    w_i w_j (R_i[0, 0] R_j[1, 1] - R_i[0, 1] R_j[1, 0]). The
-    ``_trace_weights`` are w = (c/2) (-z, 1, -z^2, z) with z = (n_x - i n_y) / c,
-    so each w_i w_j is +-(c/2)^2 z^n, n = 0 .. 4: the 16 terms fold into 5.
+    D = c_rho rho + c_s S rho S with c_s = -c_rho and S = (m.sigma) x I is
+    (X - S X S) / 2, so |D|_2^2 = |X|^2 / 2 - sum_kl m_k m_l Tr(sigma_k X sigma_l X) / 2,
+    with sigma_k standing for sigma_k x I, and A = |X|^2 / 2 I + F with
+    F_kl = -Tr(sigma_k X sigma_l X) / 2, real and symmetric by cyclicity.
+    The part I/2 x X_b of X, with X_b its reduced operator on b, commutes
+    with every S and adds nothing to D. It is taken out first: left in,
+    it would make A's entries differences of terms of size |X|^2.
     """
     count = len(scaled)
-    fro = np.empty((count, 10))
-    flat = scaled.reshape(count, 16).view(float)
-    fro[:, 0] = 0.5 * np.einsum("sj,sj->s", flat, flat)
-    lifted = _LIFTED_PAULIS @ scaled[:, None]
-    fro[:, 1:] = -0.5 * np.einsum("skij,slji->skl", lifted, lifted).real.reshape(count, 9)
-    r = scaled.reshape(count, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(count, 4, 4)
-    det = r[:, :, None, 0] * r[:, None, :, 3] - r[:, :, None, 1] * r[:, None, :, 2]
-    power, sign = np.array([1, 0, 2, 1]), np.array([-1.0, 1.0, -1.0, 1.0])
-    fold = np.zeros((4, 4, 5))
-    fold[np.arange(4)[:, None], np.arange(4), power[:, None] + power] = sign[:, None] * sign
-    return fro, det.reshape(count, 16) @ fold.reshape(16, 5)
+    x = scaled.reshape(count, 2, 2, 2, 2).copy()
+    half_b = 0.5 * np.einsum("sakal->skl", x)
+    x[:, 0, :, 0] -= half_b
+    x[:, 1, :, 1] -= half_b
+    x = x.reshape(count, 4, 4)
+    lifted = _LIFTED_PAULIS @ x[:, None]
+    f = -0.5 * np.einsum("skij,slji->skl", lifted, lifted).real
+    flat = x.reshape(count, 16).view(float)
+    a = 0.5 * (f + f.swapaxes(-1, -2))
+    a[:, [0, 1, 2], [0, 1, 2]] += 0.5 * np.einsum("sj,sj->s", flat, flat)[:, None]
+    return a
 
 
-def _screen(cols, weights, coefs, norm: str) -> np.ndarray:
-    """The (S, k) screen values of the S states with ``_screen_coefficients``
-    coefs along k directions with (k, 10) Kraus columns and (k, 4) trace
-    weights: 2 |B|_F^2, or 2 sqrt(|B|_F^2 + 2 |det B|) as in ``_trace_norms``,
-    from forms in the directions, so that no (direction, state) pair forms B."""
-    fro_coef, det_coef = coefs
-    fro = fro_coef @ cols.T
-    if norm == "hs":
-        return fro
-    # (c/2)^2 z^n from w_1 = c/2 and w_3 / w_1 = z.
-    powers = np.empty((5, len(weights)), dtype=complex)
-    powers[0] = weights[:, 1] ** 2
-    powers[1:] = weights[:, 3] / weights[:, 1]
-    det = np.abs(det_coef @ np.multiply.accumulate(powers, out=powers))
-    # sqrt(2 (fro + 4 |det B|)) in place; fro can round below zero where D vanishes.
-    det *= 4.0
-    det += fro
-    det *= 2.0
-    np.maximum(det, 0.0, out=det)
-    return np.sqrt(det, out=det)
+def _jacobi_eigenvectors(a) -> np.ndarray:
+    """Eigenvectors of the real symmetric (S, 3, 3) matrices a, as the
+    columns of (S, 3, 3) orthogonal matrices: eight sweeps of the cyclic
+    Jacobi method (Golub & Van Loan, Matrix Computations, 8.5) in numpy.
 
-
-def _grid_maximize(terms, norm: str, scaled) -> np.ndarray:
-    """Largest disturbance norm of each of the S states with (S, 10, 32) terms
-    over a theta/phi grid plus one refinement pass around its best cell.
-
-    Every value is a Kraus-route value; a screen picks the coarse cells that
-    take that route. D = c_rho rho + c_s S rho S with c_s = -c_rho and
-    S = (m.sigma) x I holds only the block B = (<u+| x I) X (|u-> x I) of
-    the (S, 4, 4) states scaled = X = (c_rho - c_s) rho (see
-    ``_trace_weights``), and ``_screen`` takes its norm straight from X. A
-    cell takes the Kraus route for a state, with that state's own terms,
-    only when its screen value lies within _SCREEN_MARGIN max(1, top) of
-    the state's top screen value. On seeded states the screen stays within
-    3e-15 of the Kraus value at every cell, so every other cell's Kraus
-    value lies below the best, and the best value and cell (the first on
-    ties, as one argmax over the whole grid would keep) are those of the
-    full search.
-
-    A state takes every cell but the pole's repeats through the Kraus route
-    when one of its screen values strays from its Kraus value by more than
-    half the margin, so a screen that strays near a top costs time, not a
-    value. So does a flat state, whose disturbance (nearly) vanishes, such
-    as a product state I/2 x tau: three times the sphere mean of its hs
-    screen, which bounds that screen at every direction, is at most
-    _SCREEN_MARGIN. Every cell then lies within the margin of its top, and
-    the trace screen's square root amplifies its rounding past half the
-    margin.
-
-    The refinement's 441 directions per state all take the Kraus route:
-    building their directions, columns and weights costs more than their
-    norms, and screening them measured slower.
+    Each rotation in the (p, q) plane zeroes a_pq with
+    t = tan(theta) = sgn(d) e / (|d| + sqrt(d^2 + e^2)), d = a_qq - a_pp and
+    e = 2 a_pq: the textbook sgn(tau) / (|tau| + sqrt(1 + tau^2)) with
+    tau = d / e, multiplied through by |e|. No quotient divides by a tiny
+    a_pq, so no square overflows, and t = 0 where d = e = 0.
     """
-    count = len(terms)
-    g = GRID_RESOLUTION
-    thetas, phis, cols, weights = _coarse_grid()
-    fro, det = _screen_coefficients(scaled)
-    # Columns 1, 5 and 9 take m_x^2, m_y^2 and m_z^2, whose sphere means are 1/3.
-    flat = 3.0 * fro[:, 0] + fro[:, 1] + fro[:, 5] + fro[:, 9] <= _SCREEN_MARGIN
-    # At theta = 0, cells 1 .. len(phis) - 1 repeat the pole of cell 0, value
-    # for value, and the first cell wins ties: only cell 0 of them is searched.
-    repeats = len(phis) if thetas[0] == 0.0 else 1
-    # The (state, cell) pairs near each state's running top, as keys
-    # state * len(cols) + cell, and their screen values, slice by slice.
-    keys, pair_screen = [], []
-    top = np.full(count, -np.inf)
-    slices = -(-len(cols) // max(2, min(_SCREEN_PAIRS // 10, _SCREEN_PAIRS // count)))
-    bounds = [len(cols) * j // slices for j in range(slices + 1)]
-    for i, end in zip(bounds, bounds[1:]):
-        screen = _screen(cols[i:end], weights[i:end, 0], (fro, det), norm)
-        np.maximum(top, screen.max(axis=1), out=top)
-        # The pole's repeats, masked in the screen itself: a (S, k) mask kept
-        # alive into the next slice raised validate's peak RSS by about 0.2 MB.
-        screen[:, max(1, i) - i : max(repeats, i) - i] = -np.inf
-        # Flat states keep no cells here.
-        floor = np.where(flat, np.inf, top - _SCREEN_MARGIN * np.maximum(1.0, top))
-        found = np.flatnonzero(screen >= floor[:, None])
-        state, c = np.divmod(found, end - i)
-        keys.append(state * len(cols) + i + c)
-        pair_screen.append(screen.take(found))
-    pair_state, pair_cell = np.divmod(np.concatenate(keys), len(cols))
-    pair_screen = np.concatenate(pair_screen)
-    # Drop the pairs below the margin of their state's final top.
-    near = pair_screen >= floor[pair_state]
-    slack = 0.5 * _SCREEN_MARGIN * np.maximum(1.0, top)
-    best = np.empty(count)
-    cell = np.empty(count, dtype=int)
-    for k in range(count):
-        mine = near & (pair_state == k)
-        # Rebinding screen frees the last slice's screen before the refinement.
-        cells, screen = pair_cell[mine], pair_screen[mine]
-        values = None if flat[k] else _cell_values(terms[k], cells, norm)
-        if values is None or np.abs(values - screen).max() > slack[k]:
-            cells = np.r_[0, repeats : len(cols)]
-            values = _cell_values(terms[k], cells, norm)
-        j = values.argmax()
-        best[k], cell[k] = values[j], cells[j]
-    # One refinement pass at 10x resolution around each state's best cell,
-    # its directions, columns and weights built pass by pass.
-    dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * REFINE_FACTOR + 1)
-    dp = np.linspace(-math.pi / g, math.pi / g, 2 * REFINE_FACTOR + 1)
-    per_pass = max(1, _CHUNK // len(dt) ** 2)
-    for i in range(0, count, per_pass):
-        row, col = np.divmod(cell[i : i + per_pass, None], len(phis))
-        ms_fine = _direction_batch(np.clip(thetas[row] + dt, 0.0, math.pi), (phis[col] + dp) % (2.0 * math.pi))
-        fine = _own_direction_values(terms[i : i + per_pass], ms_fine, norm)
-        np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
-    return best
-
-
-def _cell_values(terms, cells, norm: str) -> np.ndarray:
-    """Kraus-route disturbance norms, (k,), of one state with (10, 32) terms
-    at k >= 1 coarse cells, in products of at most _CHUNK cells. Each
-    product takes at least two rows: a one-row product would take BLAS's
-    matrix-vector kernel, whose sums can differ in the last bit from the
-    matrix-matrix kernel's."""
-    _, _, cols, weights = _coarse_grid()
-    rows = np.repeat(cells, 2) if len(cells) == 1 else cells
-    parts = min(-(-len(rows) // _CHUNK), len(rows) // 2)
-    values = np.empty((len(rows), 1))
-    for j in range(parts):
-        part = slice(len(rows) * j // parts, len(rows) * (j + 1) // parts)
-        values[part] = _norms(cols[rows[part]] @ terms, norm, weights[rows[part]])
-    return values[: len(cells), 0]
+    a = a.copy()
+    eye = np.eye(3)
+    v = np.empty_like(a)
+    v[:] = eye
+    rot = np.empty_like(a)
+    for _ in range(8):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            d = a[:, q, q] - a[:, p, p]
+            e = 2.0 * a[:, p, q]
+            den = np.abs(d) + np.sqrt(d * d + e * e)
+            t = np.where(d < 0.0, -e, e) / np.where(den > 0.0, den, 1.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            rot[:] = eye
+            rot[:, p, p] = rot[:, q, q] = c
+            rot[:, p, q] = t * c
+            rot[:, q, p] = -t * c
+            a = rot.swapaxes(-1, -2) @ a @ rot
+            v = v @ rot
+    return v
 
 
 def _brute_force(rho, norm: str, w: WeakStrength | None = None):
@@ -464,12 +309,14 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
     direct = ~degenerate
     if direct.any():
         out[direct] = _own_direction_values(terms_of(flat[direct]), ms[direct, None], norm)[:, 0]
-    # The grid search takes the degenerate states _CHUNK // 2 at a time, each
-    # slice with its own terms (about 10 KB a state).
-    grid, half = np.flatnonzero(degenerate), max(1, _CHUNK // 2)
-    for i in range(0, len(grid), half):
-        states = flat[grid[i : i + half]]
-        out[grid[i : i + half]] = _grid_maximize(terms_of(states), norm, (c_rho - c_s) * states)
+    # A degenerate state takes its largest Kraus-route value at the three
+    # eigenvectors of its quadratic form: the hs optimum is one of them and
+    # the trace optimum's circle holds two (see README).
+    free = np.flatnonzero(degenerate)
+    for i in range(0, len(free), _CHUNK):
+        states = flat[free[i : i + _CHUNK]]
+        axes = _jacobi_eigenvectors(_quadratic_forms((c_rho - c_s) * states)).swapaxes(-1, -2)
+        out[free[i : i + _CHUNK]] = _own_direction_values(terms_of(states), axes, norm).max(axis=1)
     return _out(out.reshape(rho.shape[:-2]))
 
 

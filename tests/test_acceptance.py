@@ -69,7 +69,7 @@ def test_criterion_1_analytic_numeric_equivalence():
 
 def _degenerate_random_state(rng):
     # local rotations on either side keep the a marginal maximally mixed;
-    # the a-side one moves the optimal measurement axis off the grid axes
+    # the a-side one moves the optimal measurement axis off the coordinate axes
     rho = bell_diagonal_state(rng)
     ua = random_qubit_unitary(rng) if rng.random() < 0.5 else np.eye(2, dtype=complex)
     lift = np.kron(ua, random_qubit_unitary(rng))
@@ -84,7 +84,7 @@ def _degenerate_random_state(rng):
 
 
 def test_criterion_2_closed_forms_match_oracle():
-    """Closed forms vs brute force: 1e-9 on direct-case states, 1e-3 on grid-case."""
+    """Closed forms vs brute force: 1e-9 on direct-case states, 1e-3 on degenerate-marginal ones."""
     start = time.perf_counter()
     combos = GRID_COMBOS + [(0.3, 0.9)]
     times = (0.25, 0.8, 1.5, 2.5, 4.0)
@@ -103,8 +103,8 @@ def test_criterion_2_closed_forms_match_oracle():
 
     rng = np.random.default_rng(2024)
     dev_direct = 0.0
-    dev_grid = 0.0
-    n_grid = 0
+    dev_degenerate = 0.0
+    n_degenerate = 0
     for i in range(100):
         rho = ginibre_state(rng) if i % 2 == 0 else _degenerate_random_state(rng)
         marg = np.linalg.eigvalsh(partial_trace(rho, "a"))
@@ -116,21 +116,21 @@ def test_criterion_2_closed_forms_match_oracle():
         if direct:
             dev_direct = max(dev_direct, d)
         else:
-            n_grid += 1
-            dev_grid = max(dev_grid, d)
+            n_degenerate += 1
+            dev_degenerate = max(dev_degenerate, d)
     elapsed = time.perf_counter() - start
-    passed = dev_traj <= 1e-9 and dev_direct <= 1e-9 and dev_grid <= 1e-3 and elapsed <= 30.0
+    passed = dev_traj <= 1e-9 and dev_direct <= 1e-9 and dev_degenerate <= 1e-3 and elapsed <= 30.0
     report(
         2,
         passed,
         f"trajectory dev = {dev_traj:.2e} (tol 1e-9), random direct dev = {dev_direct:.2e} "
-        f"(tol 1e-9), random grid dev = {dev_grid:.2e} over {n_grid} states (tol 1e-3); "
+        f"(tol 1e-9), random degenerate dev = {dev_degenerate:.2e} over {n_degenerate} states (tol 1e-3); "
         f"{elapsed:.1f}s of 30s",
     )
     assert dev_traj <= 1e-9
     assert dev_direct <= 1e-9
-    assert n_grid >= 40
-    assert dev_grid <= 1e-3
+    assert n_degenerate >= 40
+    assert dev_degenerate <= 1e-3
     assert elapsed <= 30.0
 
 

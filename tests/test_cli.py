@@ -434,7 +434,7 @@ class TestValidateCommand:
         section = [line for line in lines[: failed[0]] if line.startswith("[")][-1]
         assert section.startswith("[a]")
         assert "worst dev = 4.025178e-07" in lines[failed[0]]
-        assert "summary: 13 required checks, 1 failed" in lines
+        assert "summary: 14 required checks, 1 failed" in lines
         assert lines[-1] == "exit status: 1"
         assert status == 1
         assert main(["validate", "--samples", "1"]) == 1

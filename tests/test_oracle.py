@@ -23,13 +23,10 @@ from thermomin import oracle
 from thermomin.measures import MARGINAL_EPS
 from thermomin.oracle import (
     _block_order,
-    _coarse_grid,
-    _direction_batch,
     _kraus_columns,
     _kraus_terms,
     _marginal_direction,
     _post_states,
-    _search_grid,
     _trace_norms,
     _trace_weights,
 )
@@ -173,30 +170,34 @@ class TestBruteForceProjective:
         assert abs(brute_force_trace_min(rho) - trace_min(rho)) <= 1e-9
 
     def test_bell_state_grid_case(self):
-        # degenerate marginal forces the grid search; poles include the optimum
-        assert brute_force_hs_min(bell_phi_plus()) == pytest.approx(0.5, abs=1e-6)
-        assert brute_force_trace_min(bell_phi_plus()) == pytest.approx(1.0, abs=1e-6)
+        # A degenerate marginal: the optimum lies at an eigenvector of the
+        # quadratic form, here a coordinate axis. With the projector's
+        # entries exactly 1/2 (bell_phi_plus rounds 1/sqrt(2) first), the
+        # values are exact.
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[1:3, 1:3] = 0.5
+        assert np.max(np.abs(rho - bell_phi_plus())) <= 2e-16
+        assert brute_force_hs_min(rho) == 0.5
+        assert brute_force_trace_min(rho) == 1.0
 
     def test_product_state_vanishes(self):
         rho = np.kron(np.diag([0.75, 0.25]), np.diag([0.6, 0.4])).astype(complex)
         assert brute_force_hs_min(rho) <= 1e-9
         assert brute_force_trace_min(rho) <= 1e-9
 
-    def test_grid_brackets_closed_form(self):
+    def test_degenerate_case_matches_closed_form(self):
         rng = np.random.default_rng(48)
         for k in range(8):
             rho = bell_diagonal_state(rng)
             if k % 2:
                 # rotating both sides keeps the marginal degenerate but moves
-                # the optimal axis off the grid, exposing real search error
+                # the optimal axis off the coordinate axes
                 lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
                 rho = lift @ rho @ lift.conj().T
             for closed, brute in ((hs_min, brute_force_hs_min), (trace_min, brute_force_trace_min)):
                 reference = closed(rho)
                 value = brute(rho)
-                # the exact value can only be undershot by a grid, and barely
-                assert value <= reference + 1e-9
-                assert value >= reference - 1e-3
+                assert abs(value - reference) <= 1e-12
 
     def test_random_states_direct_case(self):
         rng = np.random.default_rng(49)
@@ -343,7 +344,7 @@ class TestTraceNormBlock:
         # A coarse theta/phi grid with both poles and the equator, plus the
         # points where the eigenvector construction switches branch (m_z = 0
         # and m_z = +-1e-12) and the exact poles and equator axes.
-        grid = _direction_batch(np.linspace(0.0, math.pi, 21), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+        grid = direction_batch(np.linspace(0.0, math.pi, 21), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
         e = 1e-12
         q = math.sqrt(1.0 - e * e)
         special = [
@@ -360,7 +361,7 @@ class TestTraceNormBlock:
     @staticmethod
     def disturbances(rho, t1, t2, ms, order=lambda terms: terms):
         """(k, 16) rows rho - Omega(rho) from the terms in the given order; the
-        natural order by default, the grid search's trace-norm order with
+        natural order by default, the oracle's trace-norm order with
         ``_block_order``."""
         terms = order(_kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2))
         return (_kraus_columns(ms) @ terms).view(complex)
@@ -388,9 +389,11 @@ class TestTraceNormBlock:
             norms = _trace_norms(self.blocks(rho, t1, t2, ms), _trace_weights(ms))
             assert np.max(np.abs(norms[:, 0] - literal)) <= 1e-14
 
-    def test_grid_trace_norm_takes_no_eigensolve(self, monkeypatch):
+    def test_degenerate_case_takes_no_matrix_solver(self, monkeypatch):
+        # The eigenvectors of the quadratic form come from the oracle's own
+        # Jacobi sweeps, not from LAPACK, which the closed forms use.
         def refuse(*args, **kwargs):
-            raise AssertionError("eigensolve on the oracle's trace-norm path")
+            raise AssertionError("matrix solver on the oracle's path")
 
         rho = degenerate_marginal_state(np.random.default_rng(56))
         assert _marginal_direction(rho)[1].all()
@@ -399,50 +402,10 @@ class TestTraceNormBlock:
         monkeypatch.setattr(oracle, "validate_state", lambda r: r)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert brute_force_hs_min(rho) > 0.0
         assert brute_force_trace_min(rho) > 0.0
         assert brute_force_weak_min(rho, WeakStrength(0.7), "trace") > 0.0
-
-
-def grid_angles(rows):
-    """The first rows thetas of the GRID_RESOLUTION-point theta grid, and its 2 GRID_RESOLUTION phis."""
-    g = oracle.GRID_RESOLUTION
-    return np.linspace(0.0, math.pi, g)[:rows], np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
-
-
-def full_sphere_grid():
-    """The directions of the whole GRID_RESOLUTION x 2 GRID_RESOLUTION theta/phi grid, both hemispheres."""
-    return _direction_batch(*grid_angles(oracle.GRID_RESOLUTION))
-
-
-def hemisphere_grid():
-    """The directions of the coarse grid: the upper-hemisphere half of the full one."""
-    return _direction_batch(*grid_angles(oracle.GRID_RESOLUTION // 2))
-
-
-def test_coarse_grid_is_built_once_and_read_only():
-    thetas, phis = grid_angles(oracle.GRID_RESOLUTION // 2)
-    ms = hemisphere_grid()
-    fresh = (thetas, phis, _kraus_columns(ms), _trace_weights(ms))
-    cached = _coarse_grid()
-    assert _coarse_grid() is cached
-    for a, b in zip(cached, fresh, strict=True):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-        assert not a.flags.writeable
-
-
-def test_coarse_grid_cache_holds_its_columns_and_weights_only():
-    # The (10000, 10) columns take 800 KB and the (10000, 1, 4) complex
-    # weights 640 KB: 1.44 MB with the 250 angles. Per-cell angles or
-    # directions kept beside them would add up to 0.40 MB.
-    oracle._coarse_grid.cache_clear()
-    tracemalloc.start()
-    try:
-        grid = _coarse_grid()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert sum(a.nbytes for a in grid) <= held < 1.5e6
 
 
 def test_kraus_columns_match_the_literal_formula():
@@ -450,64 +413,15 @@ def test_kraus_columns_match_the_literal_formula():
     random_sets = [rng.normal(size=(k, 3)) for k in (1, 2, 7, 4001)]
     for ms in random_sets:
         ms /= np.linalg.norm(ms, axis=1, keepdims=True)
-    for ms in random_sets + [hemisphere_grid(), full_sphere_grid()]:
+    for ms in random_sets + [TestTraceNormBlock.directions()]:
         # The rows [1, m_k m_l] as the nine products of the transposed directions.
         literal = np.vstack([np.ones((1, len(ms))), (ms.T[:, None] * ms.T[None]).reshape(9, -1)]).T
         assert _kraus_columns(ms).tobytes() == np.ascontiguousarray(literal).tobytes()
 
 
-class TestHemisphereGrid:
-    """The coarse grid searches the upper hemisphere only: m and -m are the
-    same measurement and give the same search value, bit for bit."""
-
-    def test_full_grid_is_closed_under_antipodes(self):
-        g = oracle.GRID_RESOLUTION
-        ms = full_sphere_grid().reshape(g, 2 * g, 3)
-        i, j = np.meshgrid(np.arange(g), np.arange(2 * g), indexing="ij")
-        antipodes = ms[g - 1 - i, (j + g) % (2 * g)]
-        assert np.max(np.abs(ms + antipodes)) <= 1e-15
-
-    @pytest.mark.parametrize("x", [None, 0.7, 3.0], ids=lambda x: "projective" if x is None else f"x={x}")
-    def test_values_at_antipodes_are_equal(self, x):
-        t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
-        rng = np.random.default_rng(59)
-        random_ms = rng.normal(size=(500, 3))
-        random_ms /= np.linalg.norm(random_ms, axis=1, keepdims=True)
-        for ms in (full_sphere_grid(), random_ms):
-            for rho in TestTraceNormBlock.states()[:6]:
-                here = TestTraceNormBlock.disturbances(rho, t1, t2, ms)
-                there = TestTraceNormBlock.disturbances(rho, t1, t2, -ms)
-                hs = [np.einsum("ij,ij->i", d.view(float), d.view(float)) for d in (here, there)]
-                assert hs[0].tobytes() == hs[1].tobytes()
-                here, there = (TestTraceNormBlock.blocks(rho, t1, t2, m) for m in (ms, -ms))
-                norms = [_trace_norms(blocks, _trace_weights(m)) for blocks, m in ((here, ms), (there, -ms))]
-                assert norms[0].tobytes() == norms[1].tobytes()
-
-    def test_hemisphere_search_matches_the_full_sphere(self, monkeypatch):
-        # The full grid's antipodes are -m only to within 7.8e-16, so the two
-        # searches can refine around antipodal cells whose directions differ
-        # in the last bits. On 240 seeded states (seeds 60-62, 80 each) the
-        # values differ by at most 2.8e-16 (5 ulps) and 600 of 720 are equal
-        # bit for bit; the bound is twice the double-precision epsilon.
-        rng = np.random.default_rng(60)
-        states = [degenerate_marginal_state(rng) for _ in range(16)]
-        assert _marginal_direction(np.array(states))[1].all()
-        w = WeakStrength(0.7)
-
-        def values():
-            return np.array(
-                [(brute_force_hs_min(r), brute_force_trace_min(r), brute_force_weak_min(r, w, "trace")) for r in states]
-            )
-
-        hemisphere = values()
-        full = _search_grid(*grid_angles(oracle.GRID_RESOLUTION))
-        monkeypatch.setattr(oracle, "_coarse_grid", lambda: full)
-        assert np.max(np.abs(hemisphere - values())) <= 4.4e-16
-
-
 def mixed_stack(rng, count):
     """(count, 4, 4) stack alternating Ginibre states (direct case) and
-    degenerate-marginal states (grid case)."""
+    degenerate-marginal states."""
     return np.array([ginibre_state(rng) if k % 2 else degenerate_marginal_state(rng) for k in range(count)])
 
 
@@ -522,13 +436,13 @@ ORACLES = {
 @pytest.mark.parametrize("name", ORACLES)
 @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=str)
 def test_stacked_call_equals_single_calls(name, lead):
-    # One coarse pass serves every degenerate state of a stack and one
+    # One Jacobi solve serves every degenerate state of a stack and one
     # product every direct one; each value must still be bitwise the float
     # the state gets alone, as a (4, 4) input of leading shape ().
     f = ORACLES[name]
     states = mixed_stack(np.random.default_rng(61), math.prod(lead)).reshape(lead + (4, 4))
-    grid = _marginal_direction(states)[1]
-    assert grid.any() and not grid.all()
+    degenerate = _marginal_direction(states)[1]
+    assert degenerate.any() and not degenerate.all()
     singles = [f(rho) for rho in states.reshape(-1, 4, 4)]
     assert all(type(v) is float for v in singles)
     stacked = f(states)
@@ -536,30 +450,8 @@ def test_stacked_call_equals_single_calls(name, lead):
     assert stacked.reshape(-1).tolist() == singles
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 12, 16, 30_000])
-def test_grid_values_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    # _CHUNK counts (direction, state) pairs. The stack's 8 states are more
-    # than _CHUNK // 2 at chunk 1, 7 and 12, so it is searched in slices of
-    # 1, 3 and 6 states (the last slice shorter); at 16 one pass takes two
-    # directions of all 8 states.
-    rng = np.random.default_rng(57)
-    states = np.array([degenerate_marginal_state(rng) for _ in range(8)])
-    assert _marginal_direction(states)[1].all()
-    assert (len(states) > chunk // 2) == (chunk <= 12)
-
-    def values():
-        w = WeakStrength(0.7)
-        oracles = (brute_force_hs_min, brute_force_trace_min, lambda r: brute_force_weak_min(r, w, "trace"))
-        return [[f(r) for r in states[:3]] + f(states).tolist() for f in oracles]
-
-    default = values()
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    assert values() == default
-
-
-def grid_search_peak(f, states):
-    """tracemalloc's peak over one call f(states), after a one-state call has
-    built the cached coarse grid."""
+def oracle_peak(f, states):
+    """tracemalloc's peak over one call f(states), after a one-state call."""
     f(states[:1])
     tracemalloc.start()
     try:
@@ -569,33 +461,15 @@ def grid_search_peak(f, states):
         tracemalloc.stop()
 
 
-def test_grid_search_memory_does_not_grow_with_the_refinement_grid():
-    # Each refinement pass builds its own directions, and a stack of more
-    # than _CHUNK // 2 states is searched in slices, so a call holds bounded
-    # passes: 1.5 MB (hs) and 1.6 MB (trace) measured at 200 states. All
-    # refinement directions at once would add about 30 KB per state, 8.1 MB
-    # in all at 200.
-    rng = np.random.default_rng(67)
-    states = np.array([degenerate_marginal_state(rng) for _ in range(200)])
-    assert _marginal_direction(states)[1].all()
-    for f in (brute_force_hs_min, brute_force_trace_min):
-        assert grid_search_peak(f, states) < 3.0e6
-
-
-def test_grid_search_memory_does_not_grow_with_the_stack(monkeypatch):
+def test_oracle_memory_does_not_grow_with_the_stack():
     # The Kraus terms, about 10 KB a state in their natural and block
-    # orders, are built per slice of _CHUNK // 2 degenerate states: 3.9 MB
-    # measured at 2,000 states, against 14.9 MB with the whole stack's terms
-    # built before the slicing. The trace norm holds both orders. A 4 x 8
-    # coarse grid stands in for the full one: a pass holds at most _CHUNK
-    # pairs either way, and the call takes 2 s instead of 12 s under
-    # tracemalloc.
-    grid = _search_grid(np.linspace(0.0, math.pi, 8)[:4], np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
-    monkeypatch.setattr(oracle, "_coarse_grid", lambda: grid)
+    # orders, are built per slice of _CHUNK = 500 degenerate states: 4.0 MB
+    # measured at 2,000 states, against 15.6 MB with the whole stack in one
+    # slice. The trace norm holds both orders.
     rng = np.random.default_rng(68)
     states = np.array([degenerate_marginal_state(rng) for _ in range(2000)])
     assert _marginal_direction(states)[1].all()
-    assert grid_search_peak(brute_force_trace_min, states) < 5.0e6
+    assert oracle_peak(brute_force_trace_min, states) < 5.0e6
 
 
 def test_block_order_permutes_each_terms_entries():
@@ -622,8 +496,8 @@ def natural_trace_norms(rows, weights):
 @pytest.mark.parametrize("name", ["trace", "weak-trace"])
 @pytest.mark.parametrize("seed", [63, 64, 65])
 def test_trace_values_equal_the_natural_layout_regroup(monkeypatch, name, seed):
-    # Stacks of 12 and 7 states, 6 and 4 of them degenerate, so that the
-    # coarse passes take 166 and 250 directions each.
+    # Stacks of 12 and 7 states, 6 and 4 of them degenerate, each of which
+    # takes three directions in one product.
     f = ORACLES[name]
     stacks = [mixed_stack(np.random.default_rng(seed), count) for count in (12, 7)]
     block = [f(states) for states in stacks]
@@ -633,21 +507,43 @@ def test_trace_values_equal_the_natural_layout_regroup(monkeypatch, name, seed):
         assert values.tobytes() == f(states).tobytes()
 
 
+# The theta/phi grid search that took the degenerate marginals before the
+# eigenvector route, kept as a reference: a GRID_RESOLUTION x 2 GRID_RESOLUTION
+# grid over the upper hemisphere (m and -m are the same measurement), passes of
+# at most CHUNK (direction, state) pairs, and one refinement pass at
+# REFINE_FACTOR times the resolution around each state's best cell.
+GRID_RESOLUTION = 100
+REFINE_FACTOR = 10
+CHUNK = 1000
 
-def per_pass_grid_maximize(terms, norm, *_):
-    """Reference for ``_grid_maximize``: the same search with each coarse pass
-    building the Kraus columns and trace-norm weights of its slice of the
-    hemisphere's directions, and the refinement reading per-cell angles."""
+
+def direction_batch(thetas, phis):
+    """Unit directions for every (theta, phi) pair, theta-major. Leading axes
+    pair up: (S, kt) thetas and (S, kp) phis give S grids of kt kp directions,
+    of shape (S, kt kp, 3)."""
+    tt, pp = np.broadcast_arrays(thetas[..., :, None], phis[..., None, :])
+    tt = tt.reshape(tt.shape[:-2] + (-1,))
+    pp = pp.reshape(pp.shape[:-2] + (-1,))
+    st = np.sin(tt)
+    return np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
+
+
+def per_pass_grid_maximize(terms, norm):
+    """Largest Kraus-route disturbance norm of each of the states with
+    (S, 10, 32) terms (block-ordered for the trace norm) over the grid and its
+    refinement, each coarse pass building the Kraus columns and trace-norm
+    weights of its slice of the directions."""
     count = len(terms)
-    g = oracle.GRID_RESOLUTION
-    thetas, phis = grid_angles(g // 2)
+    g = GRID_RESOLUTION
+    thetas = np.linspace(0.0, math.pi, g)[: g // 2]
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
     tt, pp = (a.reshape(-1) for a in np.broadcast_arrays(thetas[:, None], phis[None, :]))
-    ms = hemisphere_grid()
+    ms = direction_batch(thetas, phis)
     rows = 4 if norm == "trace" else 1
     wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
     best = np.full(count, -np.inf)
     cell = np.zeros(count, dtype=int)
-    passes = -(-len(ms) // max(2, oracle._CHUNK // count))
+    passes = -(-len(ms) // max(2, CHUNK // count))
     bounds = [len(ms) * j // passes for j in range(passes + 1)]
     for i, end in zip(bounds, bounds[1:]):
         part = ms[i:end]
@@ -657,15 +553,24 @@ def per_pass_grid_maximize(terms, norm, *_):
         better = top_values > best
         best[better] = top_values[better]
         cell[better] = i + top[better]
-    dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * oracle.REFINE_FACTOR + 1)
-    dp = np.linspace(-math.pi / g, math.pi / g, 2 * oracle.REFINE_FACTOR + 1)
-    per_pass = max(1, oracle._CHUNK // len(dt) ** 2)
+    dt = np.linspace(-math.pi / (g - 1), math.pi / (g - 1), 2 * REFINE_FACTOR + 1)
+    dp = np.linspace(-math.pi / g, math.pi / g, 2 * REFINE_FACTOR + 1)
+    per_pass = max(1, CHUNK // len(dt) ** 2)
     for i in range(0, count, per_pass):
         here = cell[i : i + per_pass, None]
-        ms_fine = _direction_batch(np.clip(tt[here] + dt, 0.0, math.pi), (pp[here] + dp) % (2.0 * math.pi))
+        ms_fine = direction_batch(np.clip(tt[here] + dt, 0.0, math.pi), (pp[here] + dp) % (2.0 * math.pi))
         fine = oracle._own_direction_values(terms[i : i + per_pass], ms_fine, norm)
         np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
     return best
+
+
+def grid_search(states, name):
+    """The reference grid search's values of the states for the ORACLES entry name."""
+    w = WeakStrength(0.7)
+    t1, t2 = (w.t1, w.t2) if name.startswith("weak") else (0.0, 1.0)
+    norm = name.split("-")[-1]
+    terms = _kraus_terms(states, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
+    return per_pass_grid_maximize(_block_order(terms) if norm == "trace" else terms, norm)
 
 
 def product_state(rng):
@@ -675,9 +580,7 @@ def product_state(rng):
 
 def blend_stack(rng):
     """Degenerate states, each followed by a blend lam rho + (1 - lam) I/2 x tau
-    for lam = 1e-3, 3e-4, 1e-4, 5e-5, 3e-5, 1e-5 and 3e-6. Three times the
-    sphere mean of the blends' projective hs screen runs from 4.3e-7 to
-    2.1e-12 at seed 79, across the flat cut at _SCREEN_MARGIN = 1e-9."""
+    for lam = 1e-3, 3e-4, 1e-4, 5e-5, 3e-5, 1e-5 and 3e-6."""
     states = []
     for lam in (1e-3, 3e-4, 1e-4, 5e-5, 3e-5, 1e-5, 3e-6):
         states.append(degenerate_marginal_state(rng))
@@ -686,9 +589,9 @@ def blend_stack(rng):
 
 
 def grid_stack(kind):
-    """The stacks of ``test_cached_grid_equals_the_per_pass_search``: a count
-    of degenerate states, 620 of them with product states at a few
-    positions, or ``blend_stack``."""
+    """The stacks of ``test_never_below_the_grid_search``: a count of
+    degenerate states, 620 of them with product states at a few positions,
+    or ``blend_stack``."""
     if kind == "blends":
         return blend_stack(np.random.default_rng(79))
     if kind == "620-with-products":
@@ -702,218 +605,153 @@ def grid_stack(kind):
     return np.array([degenerate_marginal_state(rng) for _ in range(kind)])
 
 
-@pytest.mark.parametrize("kind", [1, 7, 12, 620, "620-with-products", "blends"])
-def test_cached_grid_equals_the_per_pass_search(monkeypatch, kind):
-    # 1, 7 and 12 states take 1000, 142 and 83 directions per coarse pass;
-    # 620 go past the 500-state slice, whose passes take 2 directions each.
+@pytest.mark.parametrize("kind", [1, 7, 12, "620-with-products", "blends"])
+def test_never_below_the_grid_search(kind):
+    # Both routes return Kraus-route values at explicit directions; the grid
+    # misses the optimum by up to 4.3e-6 on these states, and the eigenvector
+    # route is measured at most 2.6e-17 below it.
     states = grid_stack(kind)
     assert _marginal_direction(states)[1].all()
-    names = ["hs", "trace", "weak-trace"]
-    cached = [ORACLES[name](states) for name in names]
-    monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
-    for name, values in zip(names, cached):
-        assert values.tobytes() == ORACLES[name](states).tobytes(), name
+    for name in ("hs", "trace", "weak-trace"):
+        assert np.min(ORACLES[name](states) - grid_search(states, name)) >= -1e-15, name
 
 
-def near_pole_state(theta, phi):
-    """Bell-diagonal state with correlations (0.5, -0.4, 0.1), its a side
-    rotated so that N2's optimal direction, the a-side image of z, lies at
-    (theta, phi); subsystem a's marginal stays maximally mixed."""
-    bell = (np.eye(4) + sum(c * np.kron(p, p) for c, p in zip((0.5, -0.4, 0.1), (SX, SY, SZ)))) / 4.0
-    axis = -math.sin(phi) * SX + math.cos(phi) * SY
-    ua = np.kron(math.cos(theta / 2.0) * ID2 - 1j * math.sin(theta / 2.0) * axis, ID2)
-    return ua @ bell @ ua.conj().T
+def coincident_pair_state(rng, gap, top):
+    """Locally rotated Bell-diagonal state whose top (or bottom) two
+    correlation singular values lie gap apart: (0.45, 0.45 - gap, 0.1), or
+    (0.6, 0.2, 0.2 - gap)."""
+    c = (0.45, gap - 0.45, 0.1) if top else (0.6, -0.2, 0.2 - gap)
+    rho = (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, (SX, SY, SZ)))) / 4.0
+    lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
+    return lift @ rho @ lift.conj().T
 
 
-def test_grid_keeps_the_first_pole_cell_on_ties():
-    # The theta = 0 row of the coarse grid holds 2 g copies of the pole, all
-    # with the same value. This state's best coarse cell is the pole, and its
-    # optimum lies near it on the refinement grid around phi = 0. In a stack
-    # of 6 degenerate states the pole row spans two coarse passes; refining
-    # around the copy that starts the second pass, at phi = 1.63 pi, gives a
-    # smaller value (by 7.3e-6), so keeping the last cell on ties fails here.
-    g = oracle.GRID_RESOLUTION
-    rho = near_pole_state(0.4 * math.pi / (g - 1), 0.3 * math.pi / g)
-    rng = np.random.default_rng(66)
-    stack = np.array([rho] + [degenerate_marginal_state(rng) for _ in range(5)])
-    assert _marginal_direction(stack)[1].all()
-    assert oracle._CHUNK // len(stack) < 2 * g
-    value = brute_force_hs_min(stack)[0]
-    assert value == brute_force_hs_min(rho)
-    assert abs(value - hs_min(rho)) <= 1e-15
+BLEND_WEIGHTS = 10.0 ** -np.arange(1, 13)
 
 
-def coarse_screen_and_kraus(states, x, norm):
-    """The screen values and the Kraus-route values, (S, cells) each, of the
-    states along every coarse cell, measured projectively (x None) or weakly
-    at strength x, both from one pass over the whole grid."""
-    t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
-    c_rho, c_s = 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2
-    terms = _kraus_terms(states, c_rho, c_s)
-    terms = _block_order(terms) if norm == "trace" else terms
-    rows = 4 if norm == "trace" else 1
-    wide = terms.reshape(len(states), 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
-    _, _, cols, weights = _coarse_grid()
-    screen = oracle._screen(cols, weights[:, 0], oracle._screen_coefficients((c_rho - c_s) * states), norm)
-    return screen, oracle._norms(cols @ wide, norm, weights).T
+def edge_stack(family):
+    """Degenerate-marginal states where the optimum is hardest to find, five
+    per parameter: near-coincident singular-value pairs (gaps 1e-2 to 1e-15),
+    blends lam rho + (1 - lam) I/2 x tau (lam = 1e-1 to 1e-12), or product
+    states."""
+    rng = np.random.default_rng(81)
+    gaps = 10.0 ** -np.arange(2, 16)
+    if family == "products":
+        return np.array([product_state(rng) for _ in range(5)])
+    if family == "blends":
+        lams = np.repeat(BLEND_WEIGHTS, 5)
+        return np.array([lam * degenerate_marginal_state(rng) + (1.0 - lam) * product_state(rng) for lam in lams])
+    return np.array([coincident_pair_state(rng, gap, family == "top-pairs") for gap in gaps for _ in range(5)])
 
 
-def every_cell_count():
-    """The coarse cells of an every-cell search: all but the pole's 2 g - 1
-    repeats of cell 0."""
-    _, phis, cols, _ = _coarse_grid()
-    return len(cols) - (len(phis) - 1)
+class TestDegenerateEdges:
+    """The eigenvector route against the closed forms where the optimum is
+    hardest to find. Measured at most 6.7e-16 off on these families, at
+    every strength, and 8.9e-16 on the random states; the tolerance is
+    1e-12, as in ``validate``."""
+
+    @pytest.mark.parametrize("x", [None, 0.0, 0.7, 3.0], ids=lambda x: "projective" if x is None else f"x={x}")
+    @pytest.mark.parametrize("family", ["top-pairs", "bottom-pairs", "blends", "products"])
+    def test_matches_the_closed_forms(self, family, x):
+        states = edge_stack(family)
+        assert _marginal_direction(states)[1].all()
+        if x is None:
+            hs, tr, scale = brute_force_hs_min(states), brute_force_trace_min(states), 1.0
+        else:
+            w = WeakStrength(x)
+            hs, tr = brute_force_weak_min(states, w, "hs"), brute_force_weak_min(states, w, "trace")
+            scale = 1.0 - 2.0 * w.t1 * w.t2
+        assert np.max(np.abs(hs - scale**2 * hs_min(states))) <= 1e-12
+        assert np.max(np.abs(tr - scale * trace_min(states))) <= 1e-12
+
+    def test_random_degenerate_states_match_the_closed_forms(self):
+        rng = np.random.default_rng(82)
+        states = np.array([degenerate_marginal_state(rng) for _ in range(300)])
+        assert np.max(np.abs(brute_force_hs_min(states) - hs_min(states))) <= 1e-12
+        assert np.max(np.abs(brute_force_trace_min(states) - trace_min(states))) <= 1e-12
+
+    def test_product_states_give_exactly_zero(self):
+        states = edge_stack("products")
+        assert not brute_force_hs_min(states).any()
+        assert not brute_force_trace_min(states).any()
 
 
-def tenth_of_the_cells():
-    return len(_coarse_grid()[2]) // 10
+class TestQuadraticForms:
+    """``_quadratic_forms``: the Kraus route's hs value along m is m^T A m."""
+
+    @pytest.mark.parametrize("x", [None, 0.7], ids=lambda x: "projective" if x is None else f"x={x}")
+    def test_form_equals_the_kraus_hs_value(self, x):
+        t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
+        c_rho, c_s = 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2
+        rng = np.random.default_rng(83)
+        # Direct-case and degenerate states, and blends toward a product state.
+        states = np.vstack([mixed_stack(rng, 10), edge_stack("blends")])
+        ms = rng.normal(size=(len(states), 20, 3))
+        ms /= np.linalg.norm(ms, axis=-1, keepdims=True)
+        a = oracle._quadratic_forms((c_rho - c_s) * states)
+        assert a.tobytes() == a.swapaxes(-1, -2).tobytes()
+        kraus = oracle._own_direction_values(_kraus_terms(states, c_rho, c_s), ms, "hs")
+        assert np.max(np.abs(np.einsum("ski,sij,skj->sk", ms, a, ms) - kraus)) <= 1e-15
+
+    def test_the_product_part_is_taken_out(self):
+        # A blend lam rho + (1 - lam) I/2 x tau has the form lam^2 A(rho), up
+        # to the rounding of the blend's own entries, about 1e-17 lam in A.
+        # Formed with I/2 x tau left in, A's entries would be differences of
+        # terms of size 1 and miss by about 1e-16.
+        rng = np.random.default_rng(84)
+        for lam in BLEND_WEIGHTS:
+            rho = np.array([degenerate_marginal_state(rng) for _ in range(5)])
+            blend = lam * rho + (1.0 - lam) * np.array([product_state(rng) for _ in range(5)])
+            a, a_rho = oracle._quadratic_forms(blend), oracle._quadratic_forms(rho)
+            assert np.max(np.abs(a - lam**2 * a_rho)) <= 1e-15 * lam
+        assert not oracle._quadratic_forms(edge_stack("products")).any()
 
 
-def spy_kraus_cells(monkeypatch):
-    """Spy on the grid search's Kraus route. The returned dict maps each state
-    of the last ``_grid_maximize`` call to the cell counts of its
-    ``_cell_values`` calls, in order."""
-    taken, searched = {}, []
-    grid_maximize, cell_values = oracle._grid_maximize, oracle._cell_values
-
-    def spied_search(terms, norm, scaled):
-        taken.clear()
-        searched[:] = [terms]
-        return grid_maximize(terms, norm, scaled)
-
-    def spied_values(terms, cells, norm):
-        # terms is one state's row of the searched (S, 10, 32) terms.
-        k = (terms.ctypes.data - searched[0].ctypes.data) // searched[0].strides[0]
-        taken.setdefault(k, []).append(len(cells))
-        return cell_values(terms, cells, norm)
-
-    monkeypatch.setattr(oracle, "_grid_maximize", spied_search)
-    monkeypatch.setattr(oracle, "_cell_values", spied_values)
-    return taken
-
-
-class TestScreen:
-    """The grid search screens every coarse cell with the block B that the
-    disturbance holds, taken from the state, and sends only the cells near
-    each state's top screen value through the Kraus route."""
-
-    # Worst measured |screen - Kraus value| over every coarse cell of these
-    # stacks: 2.8e-15 (trace), 3.3e-16 (hs), 1.0e-15 (weak trace, x = 0.7).
-    ENVELOPE = 4e-15
+class TestJacobi:
+    """``_jacobi_eigenvectors``: eight cyclic Jacobi sweeps in numpy."""
 
     @staticmethod
-    def stack(seed):
-        rng = np.random.default_rng(seed)
-        g = oracle.GRID_RESOLUTION
-        poles = [near_pole_state(0.4 * math.pi / (g - 1), 0.3 * math.pi / g), near_pole_state(0.0, 0.0)]
-        return np.array(poles + [degenerate_marginal_state(rng) for _ in range(10)])
+    def check(a, v, atol):
+        """v orthogonal, and v^T a v diagonal to atol."""
+        d = v.swapaxes(-1, -2) @ a @ v
+        assert np.max(np.abs(v.swapaxes(-1, -2) @ v - np.eye(3))) <= 4e-15
+        assert np.max(np.abs(d - d * np.eye(3))) <= atol
 
-    @pytest.mark.parametrize("norm, x", [("hs", None), ("trace", None), ("trace", 0.7)], ids=["hs", "trace", "weak-trace"])
-    @pytest.mark.parametrize("seed", [70, 71])
-    def test_screen_stays_within_its_envelope_of_the_kraus_values(self, norm, x, seed):
-        screen, kraus = coarse_screen_and_kraus(self.stack(seed), x, norm)
-        assert np.max(np.abs(screen - kraus)) <= self.ENVELOPE
-        # The margin dwarfs the envelope, so the screen never drops the best cell.
-        assert oracle._SCREEN_MARGIN >= 1e5 * self.ENVELOPE
+    def test_diagonalizes_symmetric_matrices(self):
+        # Measured against numpy's eigvalsh: off-diagonals at most 1.9e-16 and
+        # eigenvalues within 1.2e-15 of the largest entry.
+        rng = np.random.default_rng(85)
+        g = rng.normal(size=(300, 3, 3))
+        a = g + g.swapaxes(-1, -2)
+        # Near-coincident eigenvalues, 1e-6 to 1e-15 apart, in rotated frames.
+        q = np.linalg.qr(rng.normal(size=(10, 3, 3)))[0]
+        gaps = 10.0 ** -np.arange(6, 16)
+        values = np.stack([np.ones(10), 1.0 + gaps, np.full(10, -0.5)], axis=1)
+        close = (q * values[:, None]) @ q.swapaxes(-1, -2)
+        close = 0.5 * (close + close.swapaxes(-1, -2))
+        for m in (a, close):
+            scale = np.abs(m).max()
+            v = oracle._jacobi_eigenvectors(m)
+            self.check(m, v, 1e-15 * scale)
+            found = np.sort(np.diagonal(v.swapaxes(-1, -2) @ m @ v, axis1=-2, axis2=-1), axis=-1)
+            assert np.max(np.abs(found - np.linalg.eigvalsh(m))) <= 4e-15 * scale
 
-    def test_pole_and_zero_strength_stacks_equal_the_per_pass_search(self, monkeypatch):
-        # The first state's best coarse cell is the theta = 0 pole, whose 2 g
-        # copies tie; at x = 0 the weak map leaves no disturbance to screen,
-        # so every state is flat and takes every coarse cell but the pole's
-        # 2 g - 1 repeats of cell 0 through the Kraus route.
-        states = self.stack(72)
-        assert _marginal_direction(states)[1].all()
-        assert np.argmax(coarse_screen_and_kraus(states[:1], None, "hs")[0][0]) == 0
-        w0 = WeakStrength(0.0)
-        calls = {
-            "hs": brute_force_hs_min,
-            "trace": brute_force_trace_min,
-            "weak-trace": lambda r: brute_force_weak_min(r, WeakStrength(0.7), "trace"),
-            "x=0 hs": lambda r: brute_force_weak_min(r, w0, "hs"),
-            "x=0 trace": lambda r: brute_force_weak_min(r, w0, "trace"),
-        }
-        taken = spy_kraus_cells(monkeypatch)
-        screened = {}
-        for name, f in calls.items():
-            screened[name] = f(states)
-            assert sorted(taken) == list(range(len(states))), name
-            if name.startswith("x=0"):
-                assert all(cells == [every_cell_count()] for cells in taken.values()), name
-            else:
-                assert all(len(cells) == 1 and cells[0] < tenth_of_the_cells() for cells in taken.values()), name
-        monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
-        for name, f in calls.items():
-            assert screened[name].tobytes() == f(states).tobytes(), name
-
-    @pytest.mark.parametrize("name", ["hs", "trace", "weak-trace"])
-    def test_a_wrong_screen_sends_only_its_states_to_every_cell(self, monkeypatch, name):
-        # Without the det term the trace screen undershoots; the hs screen is
-        # scaled by 1 + 1e-6. Made wrong for states 2, 5 and 7 alone, it
-        # strays from their Kraus values near the top by more than half the
-        # margin, so those states, and no other, take every cell after their
-        # screened cells, and every value stays the same.
-        states = self.stack(73)
-        f = ORACLES[name]
-        right = f(states)
-        screen = oracle._screen
-        wrong_states = [2, 5, 7]
-
-        def wrong(cols, weights, coefs, norm):
-            values = screen(cols, weights, coefs, norm)
-            fro = screen(cols, weights, coefs, "hs")[wrong_states]
-            values[wrong_states] = (1.0 + 1e-6) * fro if norm == "hs" else np.sqrt(np.maximum(2.0 * fro, 0.0))
-            return values
-
-        monkeypatch.setattr(oracle, "_screen", wrong)
-        taken = spy_kraus_cells(monkeypatch)
-        assert f(states).tobytes() == right.tobytes()
-        assert sorted(taken) == list(range(len(states)))
-        for k, cells in taken.items():
-            if k in wrong_states:
-                assert len(cells) == 2 and cells[1] == every_cell_count(), k
-            else:
-                assert len(cells) == 1 and cells[0] < tenth_of_the_cells(), k
-
-    def test_flat_states_take_every_cell(self, monkeypatch):
-        # A product state I/2 x tau has no disturbance to screen: every cell
-        # would lie within the margin of its top near 0. It takes every cell
-        # through the Kraus route; the other states keep the screen.
-        states = self.stack(75)
-        states[3] = product_state(np.random.default_rng(76))
-        assert _marginal_direction(states)[1].all()
-        taken = spy_kraus_cells(monkeypatch)
-        screened = {}
-        for name, f in ORACLES.items():
-            screened[name] = f(states)
-            assert taken.pop(3) == [every_cell_count()], name
-            # The other states' (state, cell) pairs stay under a tenth of the cells.
-            assert all(len(cells) == 1 for cells in taken.values()), name
-            assert sum(cells[0] for cells in taken.values()) < tenth_of_the_cells(), name
-        monkeypatch.setattr(oracle, "_grid_maximize", per_pass_grid_maximize)
-        for name, f in ORACLES.items():
-            assert screened[name].tobytes() == f(states).tobytes(), name
-
-    def test_a_product_state_leaves_the_other_states_cells_alone(self, monkeypatch):
-        # A state's Kraus cells follow from its own screen values and top, so
-        # each non-flat state takes the same cells with or without a product
-        # state in its stack (which also changes the screen slices' width).
-        states = self.stack(77)
-        mixed = np.insert(states, 4, product_state(np.random.default_rng(78)), axis=0)
-        taken = spy_kraus_cells(monkeypatch)
-        for name, f in ORACLES.items():
-            f(states)
-            alone = [taken[k] for k in range(len(states))]
-            f(mixed)
-            assert taken.pop(4) == [every_cell_count()], name
-            assert [taken[k] for k in sorted(taken)] == alone, name
-
-    def test_a_ten_state_search_stays_below_1_mb(self):
-        # Measured 0.38 MB (hs) and 0.53 MB (trace): the screen slices and
-        # the Kraus products are bounded by pairs, as the passes were.
-        rng = np.random.default_rng(74)
-        states = np.array([degenerate_marginal_state(rng) for _ in range(10)])
-        for f in (brute_force_hs_min, brute_force_trace_min):
-            assert grid_search_peak(f, states) < 1.0e6
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([0.3, -0.1, 0.2]),
+            np.diag([0.3, 0.3, 0.2]),
+            np.diag([0.3, -0.1, 0.2]) + 1e-300 * (1.0 - np.eye(3)),
+            np.eye(3) + 1e-300 * (1.0 - np.eye(3)),
+            np.zeros((3, 3)),
+        ],
+        ids=["diagonal", "equal-diagonal", "off-diagonals-1e-300", "equal-diagonal-1e-300", "zero"],
+    )
+    def test_raises_no_warning_on_tiny_or_vanishing_off_diagonals(self, a):
+        v = oracle._jacobi_eigenvectors(a[None])
+        self.check(a[None], v, 1e-299)
+        assert np.max(np.abs(v - np.eye(3))) <= 1e-15
 
 
 def shifted_bell_state(rng, size):
