@@ -182,14 +182,15 @@ def _trace_weights(ms) -> np.ndarray:
     S^2 = I, so S D S = -D. In the eigenbasis u+, u- of m.sigma, D is then
     [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I).
     The eigenvectors are those of n.sigma for n = s m, with s = -1 if
-    m_z < 0 and +1 otherwise: u+ = (c, w) and u- = (-conj w, c) with
+    m_z has its sign bit set (-0.0 included) and +1 otherwise, so that m and
+    -m give the same n to the bit: u+ = (c, w) and u- = (-conj w, c) with
     c = 1 + n_z >= 1 and w = n_x + i n_y, each of squared length 2c, so no
     pole divides by zero. For n = -m the pair comes out swapped, which turns
     B into B^+ and leaves the norm unchanged. B_bb' sums conj(u+_a) u-_a'
     D_(ab),(a'b') / 2c over a, a', with weights for aa' = 00, 01, 10, 11 of
     (-conj w c, c^2, -conj w^2, conj w c) / 2c = (-conj w, c, -conj w^2 / c, conj w) / 2.
     """
-    s = np.where(ms[:, 2] < 0.0, -1.0, 1.0)
+    s = np.where(np.signbit(ms[:, 2]), -1.0, 1.0)
     c = 1.0 + s * ms[:, 2]
     wbar = s * (ms[:, 0] - 1j * ms[:, 1])
     return 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(len(ms), 1, 4)

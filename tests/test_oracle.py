@@ -754,6 +754,31 @@ class TestJacobi:
         assert np.max(np.abs(v - np.eye(3))) <= 1e-15
 
 
+class TestAntipodes:
+    """m and -m are the same measurement. The Jacobi eigenvectors come with
+    either sign, so the oracle's value at each must not depend on it: the
+    Kraus columns hold products m_k m_l, and the trace weights flip s with m,
+    so both norms are equal bit for bit."""
+
+    @pytest.mark.parametrize("x", [None, 0.7, 3.0], ids=lambda x: "projective" if x is None else f"x={x}")
+    def test_values_at_antipodes_are_equal(self, x):
+        t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
+        c_rho, c_s = 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2
+        rng = np.random.default_rng(59)
+        states = np.array(TestTraceNormBlock.states()[:6])
+        random_ms = rng.normal(size=(500, 3))
+        random_ms /= np.linalg.norm(random_ms, axis=1, keepdims=True)
+        shared = [np.broadcast_to(ms, (len(states),) + ms.shape) for ms in (TestTraceNormBlock.directions(), random_ms)]
+        # The oracle's own evaluation points: the eigenvectors of each state's form.
+        axes = oracle._jacobi_eigenvectors(oracle._quadratic_forms((c_rho - c_s) * states)).swapaxes(-1, -2)
+        terms = _kraus_terms(states, c_rho, c_s)
+        for ms in shared + [axes]:
+            for norm, t in (("hs", terms), ("trace", _block_order(terms))):
+                here = oracle._own_direction_values(t, ms, norm)
+                there = oracle._own_direction_values(t, -ms, norm)
+                assert here.tobytes() == there.tobytes()
+
+
 def shifted_bell_state(rng, size):
     """Locally rotated Bell-diagonal state whose a-marginal Bloch vector has length size."""
     lift = np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
