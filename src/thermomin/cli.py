@@ -113,10 +113,10 @@ def _states_on_grid(p: dynamics.ModelParams, t_max: float, t_steps: int, integra
 
     integrator "rk4" selects the fixed-step order-5 integrator
     (dynamics.integrate); the name is kept for existing callers. It takes sub
-    steps per output interval and keeps every sub-th state as it steps
-    (dynamics._integrate_rows), so the rows are bitwise integrate's
-    states[::sub] and the memory held is that of the rows and one window of
-    steps, not of the trajectory (256 MB at MAX_STEPS).
+    steps per output interval on integrate's windowed path, which turns only
+    every sub-th state into a 4x4 matrix (dynamics._integrate_rows), so the
+    rows are bitwise integrate's states[::sub] and the memory held is that of
+    the rows and one window of coordinates, not of the trajectory (256 MB).
     """
     times = np.linspace(0.0, t_max, t_steps)
     if integrator == "analytic":

@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .qstate import ID2, _psd_certified, validate_state
+from .qstate import ID2, _coordinates, _from_coordinates, _psd_certified, validate_state
 
 INTEGRATOR_PSD_SLACK = -1e-8
 DEFAULT_STEPS_PER_UNIT_TIME = 100
@@ -24,15 +24,15 @@ SUDDEN_DEATH_HORIZON = 50.0
 SUDDEN_DEATH_XTOL = 1e-9
 # Largest step count the integrator accepts (gamma*t up to 10^4 at the
 # default step density). A sweep holds a window of steps, not all of them
-# (see _integrate_rows), so this bounds its time, about 1 s; integrate returns
-# every step's 4x4 state, 256 bytes, so its trajectory stays below 256 MB.
+# (see _integrate_rows), so this bounds its time, about 0.35 s; integrate
+# returns every step's 4x4 state, 256 bytes, so its trajectory stays below 256 MB.
 MAX_STEPS = 1_000_000
 
 # Stored states advanced per batched product of step powers.
 _BLOCK = 50
-# New states per window of _integrate_rows when it keeps every few states: a
-# multiple of _BLOCK, so that its blocks are integrate's. With the state
-# carried over, a window takes 64 KB, below glibc's 128 KB mmap threshold.
+# New states per window of _integrate_rows: a multiple of _BLOCK, so that the
+# blocks run _BLOCK states at a time from the start. With the state carried
+# over, a window of 16 Hermitian coordinates per state takes 32 KB.
 _WINDOW = 5 * _BLOCK
 # Equal cells per pass of sudden_death_time's bracket search: a pass is one
 # call on their 63 interior points; six narrow [0, 50] to 50/64^6 = 7.5e-10.
@@ -173,17 +173,13 @@ def _rated_sum(p: ModelParams, terms) -> np.ndarray:
 
 
 @functools.cache
-def _basis_dissipators():
-    """The (4, 16, 4, 4) _dissipators terms of the 16 basis matrices, built on first use and kept read-only."""
-    parts = np.array(list(_dissipators(np.eye(16, dtype=complex).reshape(16, 4, 4))))
+def _channel_generators() -> np.ndarray:
+    """The rate-free _dissipators terms as (4, 16, 16) real matrices on Hermitian coordinates: column k holds
+    the terms of the matrix whose coordinates are the k-th unit vector. Built on first use, kept read-only."""
+    terms = _dissipators(_from_coordinates(np.eye(16)))
+    parts = np.array([_coordinates(term).T for term in terms])
     parts.flags.writeable = False
     return parts
-
-
-def _rhs_superoperator(p: ModelParams) -> np.ndarray:
-    """16x16 matrix acting on row-major vectorized states: lindblad_rhs of the
-    16 basis matrices, by linearity, from their rate-free terms built once."""
-    return _rated_sum(p, _basis_dissipators()).reshape(16, 16).T
 
 
 def _taylor_step(a: np.ndarray) -> np.ndarray:
@@ -210,20 +206,22 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
     t_max must be finite and > 0. steps is the number of steps taken, an
     integer that is not a bool (default 100 per unit of scaled time), at most
     MAX_STEPS, which is checked before the trajectory is allocated; there is
-    no substepping. The step matrix S and
-    its powers S^2, ..., S^50 are formed once, and the trajectory advances 50
-    stored states at a time, as one matrix-vector product of those powers'
-    stacked rows with the last stored state, written straight into the
-    trajectory; in exact arithmetic each stored state is still one Taylor step
-    from the one before it. Every stored state is symmetrized and trace
-    renormalized in place, and checked against the integrator positivity slack:
-    a state with an eigenvalue below -1e-8, or with an entry that is not
-    finite, raises StepTooLarge naming the first such step; for a state that is
-    not finite it also names h (2n+1), the step in units of the decay time.
-    Only a trajectory that Gershgorin discs cannot certify (they certify every
-    step of the paper's X family) takes a batched eigvalsh. The trajectory is
-    _integrate_rows keeping every state, so the sweeps, which keep every few,
-    step the same states.
+    no substepping. The generator preserves Hermiticity, so the states are
+    stepped in Hermitian coordinates (qstate._coordinates), 16 reals each, on
+    which the generator and the step matrix S are real 16x16 matrices. S and
+    its powers S^2, ..., S^50 are formed once, and the states advance 50 at a
+    time, as one real matrix-vector product of those powers' stacked rows with
+    the last state, written into a window of 250 states and renormalized by
+    their 4 diagonal coordinates; in exact arithmetic each state is still one
+    Taylor step from the one before it. Every state is Hermitian by
+    construction, so none is symmetrized. Each window is checked against the
+    integrator positivity slack: a state with an eigenvalue below -1e-8, or
+    with an entry that is not finite, raises StepTooLarge naming the first such
+    step; for a state that is not finite it also names h (2n+1), the step in
+    units of the decay time. Only a window that Gershgorin discs cannot certify
+    (they certify every step of the paper's X family) takes a batched eigvalsh.
+    The trajectory is _integrate_rows keeping every state, so the sweeps, which
+    keep every few, step the same states.
     """
     states = _integrate_rows(p, t_max, steps, 1)
     return Trajectory(times=np.linspace(0.0, t_max, len(states)), states=states)
@@ -232,14 +230,14 @@ def integrate(p: ModelParams, t_max: float, steps: int | None = None) -> Traject
 def _integrate_rows(p: ModelParams, t_max: float, steps: int | None, every: int) -> np.ndarray:
     """States 0, every, 2 every, ... of integrate(p, t_max, steps), bitwise, as a (steps // every + 1, 4, 4) array.
 
-    integrate's argument checks run first, before any allocation. For every
-    = 1 the states are stepped straight into the result, which is integrate's
-    trajectory. Otherwise they are stepped into a window: the state carried
-    over from the window before, then _WINDOW new ones in integrate's blocks,
-    from which the wanted states are copied out; so a sweep holds its rows and
-    one window, not its steps. Each window's new states are certified, or
-    checked, as integrate checks its trajectory: the first state outside the
-    slack raises the same StepTooLarge, and its times are built only then.
+    integrate's argument checks run first, before any allocation. The states
+    are stepped, in Hermitian coordinates, into a window: the state carried
+    over from the window before, then _WINDOW new ones in blocks of _BLOCK,
+    from which the wanted states are converted to 4x4 matrices; so a sweep
+    holds its rows and one window, not its steps. Each window's new states
+    are certified by qstate._psd_certified, the certificate validate_state
+    uses, or else converted and checked: the first state outside the slack
+    raises StepTooLarge, and its times are built only then.
     """
     if not (isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -251,36 +249,38 @@ def _integrate_rows(p: ModelParams, t_max: float, steps: int | None, every: int)
         raise ValueError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     h = t_max / steps
     rows = np.empty((steps // every + 1, 4, 4), dtype=complex)
-    span = steps if every == 1 else _WINDOW
-    window = rows if every == 1 else np.empty((min(span, steps) + 1, 4, 4), dtype=complex)
-    window[0] = initial_state(p)
+    window = np.empty((min(_WINDOW, steps) + 1, 16))
+    window[0] = _coordinates(initial_state(p))
     # A step far too large can overflow, in its Taylor terms, its powers or
     # in the states, before the check; the check below reports it as
     # StepTooLarge, not as a floating-point warning. Apart from its eigvalsh,
     # which sets its own error state, the check only compares and copies.
     with np.errstate(all="ignore"):
-        # Work in scaled time: d(rho)/d(gamma t) = rhs/gamma.
-        step = _taylor_step(h * _rhs_superoperator(p) / p.gamma)
-        powers = np.empty((min(_BLOCK, steps), 16, 16), dtype=complex)
-        powers[0] = step
+        # Work in scaled time: d(rho)/d(gamma t) = rhs/gamma. The real step and powers are
+        # formed by complex products: the complex BLAS kernel is paged in wherever the
+        # integrator runs, and the real one, which no sweep runs otherwise, adds 128 KB.
+        step = _taylor_step(h * _rated_sum(p, _channel_generators()) / p.gamma)
+        powers = np.empty((min(_BLOCK, steps), 16, 16))
+        power = step
+        powers[0] = step.real
         for j in range(1, len(powers)):
-            np.matmul(step, powers[j - 1], out=powers[j])
-        for start in range(0, steps, span):
-            fresh = window[1 : 1 + min(span, steps - start)]
-            for k in range(0, len(fresh), len(powers)):
-                block = fresh[k : k + len(powers)]
-                np.matmul(powers[: len(block)].reshape(-1, 16), window[k].reshape(-1), out=block.reshape(-1))
-                block += block.conj().swapaxes(-1, -2)
-                block *= 0.5
-                block /= np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
+            power = step @ power
+            powers[j] = power.real
+        stacked = powers.reshape(-1, 16)
+        for start in range(0, steps, _WINDOW):
+            fresh = window[1 : 1 + min(_WINDOW, steps - start)]
+            for k in range(0, len(fresh), _BLOCK):
+                block = fresh[k : k + _BLOCK]
+                np.matmul(stacked[: 16 * len(block)], window[k], out=block.reshape(-1))
+                block /= block[:, :4].sum(axis=1, keepdims=True)
             if not _psd_certified(fresh, INTEGRATOR_PSD_SLACK):
                 times = np.linspace(0.0, t_max, steps + 1)[start + 1 : start + 1 + len(fresh)]
-                _check_steps(fresh, times, h * (2.0 * p.n + 1.0))
-            if window is not rows:
-                first = -start % every
+                _check_steps(_from_coordinates(fresh), times, h * (2.0 * p.n + 1.0))
+            first = -start % every
+            if first <= len(fresh):
                 kept = window[first : len(fresh) + 1 : every]
-                rows[(start + first) // every :][: len(kept)] = kept
-                window[0] = fresh[-1]
+                rows[(start + first) // every :][: len(kept)] = _from_coordinates(kept)
+            window[0] = fresh[-1]
     return rows
 
 

@@ -17,6 +17,14 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_SLACK = -1e-10
 _CERTIFY_SLICE = 256
+# Hermitian coordinates of a 4x4 matrix: its 4 diagonal entries, then the real and imaginary parts of
+# its 6 entries above the diagonal, row by row; they are its floats at _UPPER_FLOATS. _MATRIX_FLOATS picks
+# its 32 floats from the coordinates, their 6 negated imaginary parts and a zero, and _ROW_ENTRIES[i, j]
+# is the place of |h_ij|^2 among the 4 squared diagonal entries and the 6 squared moduli.
+_UPPER_FLOATS = np.array([0, 10, 20, 30, 2, 4, 6, 12, 14, 22, 3, 5, 7, 13, 15, 23])
+_MATRIX_FLOATS = np.array([0, 22, 4, 10, 5, 11, 6, 12, 4, 16, 1, 22, 7, 13, 8, 14,
+                           5, 17, 7, 19, 2, 22, 9, 15, 6, 18, 8, 20, 9, 21, 3, 22])
+_ROW_ENTRIES = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -94,19 +102,34 @@ def _require_psd(lowest: np.ndarray):
     _raise_first(lowest < PSD_SLACK, NotPositive, message, lowest)
 
 
-def _psd_certified(h: np.ndarray, slack: float) -> bool:
-    """True when Gershgorin discs put every eigenvalue of the Hermitian (..., 4, 4) stack h at or above
-    slack: each row bound 2 Re h_ii - sum_j |h_ij| (which double-counts a negative diagonal) clears slack
-    by 1e-12 max(1, largest row sum), more than its rounding plus eigvalsh's backward error (about
-    100 eps |h|_2), so a certified stack passes the eigenvalue check too; a non-finite entry never
-    certifies. Checked in slices of _CERTIFY_SLICE matrices (temporaries near 50 KB), with row sums by a
-    matrix-vector product: numpy's own sum over 4 floats takes several times as long."""
-    flat = h.reshape(-1, 4, 4)
+def _coordinates(h: np.ndarray) -> np.ndarray:
+    """The (..., 16) Hermitian coordinates of the Hermitian (..., 4, 4) stack h, read from its upper triangle."""
+    return np.ascontiguousarray(h).reshape(h.shape[:-2] + (16,)).view(float)[..., _UPPER_FLOATS]
+
+
+def _from_coordinates(x: np.ndarray) -> np.ndarray:
+    """The (..., 4, 4) matrices of the Hermitian coordinates x: Hermitian bitwise, with +0.0 imaginary diagonal."""
+    lead = x.shape[:-1]
+    floats = np.concatenate([x, -x[..., 10:], np.zeros(lead + (1,))], axis=-1)
+    return np.take(floats, _MATRIX_FLOATS, axis=-1).view(complex).reshape(lead + (4, 4))
+
+
+def _psd_certified(x: np.ndarray, slack: float) -> bool:
+    """True when Gershgorin discs put every eigenvalue of the Hermitian matrices with the (..., 16) coordinates x
+    at or above slack: each row bound 2 h_ii - sum_j |h_ij| (which double-counts a negative diagonal) clears
+    slack by 1e-12 max(1, largest row sum), more than its rounding plus eigvalsh's backward error (about
+    100 eps |h|_2), so a certified stack passes the eigenvalue check too; a coordinate whose square is not
+    finite never certifies. Each slice of _CERTIFY_SLICE matrices is copied transposed and then worked on in
+    place: numpy's loops over one matrix's few coordinates take several times as long as those over a slice."""
+    flat = x.reshape(-1, 16)
     with np.errstate(all="ignore"):
         for i in range(0, len(flat), _CERTIFY_SLICE):
-            part = flat[i : i + _CERTIFY_SLICE]
-            rows = (np.abs(part).reshape(-1, 4) @ np.ones(4)).reshape(-1, 4)
-            bound = 2.0 * np.diagonal(part, axis1=-2, axis2=-1).real - rows
+            part = flat[i : i + _CERTIFY_SLICE].T.copy()
+            bound = 2.0 * part[:4]
+            part *= part
+            part[4:10] += part[10:]
+            rows = np.sqrt(part[:10], out=part[:10])[_ROW_ENTRIES].sum(axis=1)
+            bound -= rows
             if not bound.min() >= slack + 1e-12 * max(1.0, rows.max()):
                 return False
     return True
@@ -132,7 +155,7 @@ def validate_state(m) -> np.ndarray:
     # Halving is exact for normal floats, so away from the subnormal range the
     # sum is the same float as halving (rho + rho^H).
     sym = 0.5 * rho + 0.5 * rho.conj().swapaxes(-1, -2)
-    if not _psd_certified(sym, PSD_SLACK):
+    if not _psd_certified(_coordinates(sym), PSD_SLACK):
         _require_psd(np.linalg.eigvalsh(sym)[..., 0])
     return rho
 

@@ -29,7 +29,6 @@ from thermomin.dynamics import (
     SUDDEN_DEATH_HORIZON,
     SUDDEN_DEATH_XTOL,
     _integrate_rows,
-    _rhs_superoperator,
     _taylor_step,
 )
 
@@ -38,6 +37,7 @@ from _helpers import ginibre_state
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+UPPER = np.triu_indices(4, 1)
 
 
 def looped_rhs(p, rho):
@@ -55,24 +55,50 @@ def looped_rhs(p, rho):
     return out
 
 
+def coordinates(h):
+    """The 16 Hermitian coordinates of each Hermitian 4x4 matrix of h: its
+    diagonal, then the real and the imaginary parts of its upper triangle."""
+    upper = h[..., UPPER[0], UPPER[1]]
+    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+def hermitian_matrices(x):
+    """The Hermitian 4x4 matrices of the coordinates x, entry by entry."""
+    h = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
+    for k in range(4):
+        h[..., k, k] = x[..., k]
+    for k, (i, j) in enumerate(zip(*UPPER)):
+        h.real[..., i, j] = h.real[..., j, i] = x[..., 4 + k]
+        h.imag[..., i, j], h.imag[..., j, i] = x[..., 10 + k], -x[..., 10 + k]
+    return h
+
+
+def coordinate_generator(p):
+    """looped_rhs as a real 16x16 matrix on Hermitian coordinates: column k
+    holds the coordinates of looped_rhs of the matrix with coordinates e_k."""
+    return np.ascontiguousarray(coordinates(looped_rhs(p, hermitian_matrices(np.eye(16)))).T)
+
+
 def batched_blocks(p, t_max, steps):
     """integrate's trajectory, without its check, from blocks of up to 50
     states formed as batched (m, 16, 16) @ (16,) products of the step powers
-    and then symmetrized and renormalized out of place."""
-    generator = looped_rhs(p, np.eye(16, dtype=complex).reshape(16, 4, 4)).reshape(16, 16).T
-    step = _taylor_step(t_max / steps * generator / p.gamma)
-    states = np.empty((steps + 1, 4, 4), dtype=complex)
-    states[0] = initial_state(p)
-    powers = np.empty((min(50, steps), 16, 16), dtype=complex)
-    powers[0] = step
-    for j in range(1, len(powers)):
-        powers[j] = step @ powers[j - 1]
+    on Hermitian coordinates, renormalized out of place by their diagonal.
+    The step and its powers are the real parts of complex products, as
+    integrate forms them."""
+    step = _taylor_step(t_max / steps * coordinate_generator(p) / p.gamma)
+    x = np.empty((steps + 1, 16))
+    x[0] = coordinates(initial_state(p))
+    power = step
+    powers = [step.real]
+    for _ in range(1, min(50, steps)):
+        power = step @ power
+        powers.append(power.real)
+    powers = np.array(powers)
     for k in range(0, steps, len(powers)):
         m = min(len(powers), steps - k)
-        block = (powers[:m] @ states[k].reshape(-1)).reshape(m, 4, 4)
-        block = 0.5 * (block + block.conj().swapaxes(-1, -2))
-        states[k + 1 : k + 1 + m] = block / np.trace(block, axis1=-2, axis2=-1).real[:, None, None]
-    return states
+        block = powers[:m] @ x[k]
+        x[k + 1 : k + 1 + m] = block / block[:, :4].sum(axis=1, keepdims=True)
+    return hermitian_matrices(x)
 
 
 def scalar_elements(p, t):
@@ -242,14 +268,15 @@ class TestLindbladRhs:
     @pytest.mark.parametrize("n", [0.0, 0.3, 1.0, 1e3])
     def test_superoperator_is_the_generator_of_the_basis_bitwise(self, n, gamma):
         p = ModelParams(n=n, r=0.5, gamma=gamma)
-        basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
-        sup = _rhs_superoperator(p)
+        basis = hermitian_matrices(np.eye(16))
+        generator = dynamics._rated_sum(p, dynamics._channel_generators())
+        assert generator.dtype == float
         for rhs in (lindblad_rhs(p, basis), looped_rhs(p, basis)):
-            assert sup.tobytes() == rhs.reshape(16, 16).T.tobytes()
-        # The layout, which sets the BLAS calls of the Taylor step, is kept too.
-        assert sup.strides == lindblad_rhs(p, basis).reshape(16, 16).T.strides
-        parts = dynamics._basis_dissipators()
-        assert dynamics._basis_dissipators() is parts and not parts.flags.writeable
+            assert generator.tobytes() == coordinates(rhs).T.tobytes()
+        # Row-major, as the reference steps it: the layout sets the BLAS calls of the Taylor step.
+        assert generator.flags.c_contiguous
+        parts = dynamics._channel_generators()
+        assert dynamics._channel_generators() is parts and not parts.flags.writeable
 
     def test_generator_equals_the_channel_loop_bitwise(self):
         rng = np.random.default_rng(33)
@@ -262,10 +289,11 @@ class TestLindbladRhs:
         p = ModelParams(n=0.7, r=0.5, gamma=1.3)
         stack = np.array([ginibre_state(rng) for _ in range(20)])
         rhs = lindblad_rhs(p, stack)
-        sup = _rhs_superoperator(p)
+        generator = dynamics._rated_sum(p, dynamics._channel_generators())
         for rho, row in zip(stack, rhs):
             assert np.array_equal(row, lindblad_rhs(p, rho))
-            assert np.max(np.abs(sup @ rho.reshape(-1) - row.reshape(-1))) <= 1e-14
+            assert np.max(np.abs(generator @ coordinates(rho) - coordinates(row))) <= 1e-14
+            assert np.max(np.abs(generator @ coordinates(rho) - coordinates(looped_rhs(p, rho)))) <= 1e-14
 
 
 class TestIntegrate:
@@ -373,7 +401,8 @@ class TestIntegrate:
         """
         p = ModelParams(n=0.7, r=0.6)
         t_max = steps / 100.0
-        step = _taylor_step(t_max / steps * _rhs_superoperator(p) / p.gamma)
+        generator = looped_rhs(p, np.eye(16, dtype=complex).reshape(16, 4, 4)).reshape(16, 16).T
+        step = _taylor_step(t_max / steps * generator / p.gamma)
         rho = initial_state(p)
         expected = [rho]
         for _ in range(steps):
@@ -435,6 +464,16 @@ class TestIntegrateRows:
         assert len(rows) == steps // every + 1
         assert rows.tobytes() == integrate(p, t_max, steps).states[::every].tobytes()
 
+    @pytest.mark.parametrize("every", [1, 3, 7, 250, 300])
+    def test_rows_are_hermitian_bitwise(self, every):
+        for n, r in ((0.7, 0.6), (0.0, 1.0), (3.0, 0.3), (0.5, 0.0)):
+            rows = _integrate_rows(ModelParams(n=n, r=r), 12.0, 1200, every)
+            assert len(rows) == 1200 // every + 1
+            upper, lower = rows[:, UPPER[0], UPPER[1]], rows[:, UPPER[1], UPPER[0]]
+            assert upper.conj().tobytes() == lower.tobytes()
+            diagonal = np.diagonal(rows, axis1=1, axis2=2).imag
+            assert not diagonal.any() and not np.signbit(diagonal).any()
+
     def test_seeded_rows_are_the_trajectory_rows_bitwise(self):
         rng = np.random.default_rng(24)
         for _ in range(60):
@@ -479,8 +518,9 @@ class TestIntegrateRows:
 
     @pytest.mark.parametrize("t_max", [50.0, 1000.0], ids=["5000-steps", "100000-steps"])
     def test_sweep_memory_does_not_grow_with_the_steps(self, t_max):
-        # Measured 0.32-0.34 MB at both: 11 rows, one 64 KB window and the 50 step
-        # powers (205 KB); the whole trajectory took 1.28 and 25.6 MB.
+        # Measured 0.23 MB at both: 11 rows, one 32 KB window of coordinates, the 50
+        # real step powers (102 KB) and the certificate's copies; the whole trajectory
+        # took 1.28 and 25.6 MB.
         p = ModelParams(n=0.6021, r=0.4363)
         tracemalloc.start()
         try:

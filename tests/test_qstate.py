@@ -20,7 +20,7 @@ from thermomin import (
     validate_state,
 )
 from thermomin.dynamics import INTEGRATOR_PSD_SLACK
-from thermomin.qstate import _CERTIFY_SLICE, PSD_SLACK, _psd_certified
+from thermomin.qstate import _CERTIFY_SLICE, PSD_SLACK, _coordinates, _from_coordinates, _psd_certified
 
 from _helpers import bell_phi_plus, ginibre_state, partial_trace_direct, random_hermitian
 
@@ -120,12 +120,31 @@ class TestPositivityCertificate:
     @pytest.mark.parametrize("form", [x_form, general_form])
     def test_a_certified_matrix_passes_the_eigenvalue_check(self, form, slack):
         matrices = near_slack(form, slack, seed=81)
-        certified = [m for m in matrices if _psd_certified(m, slack)]
+        certified = [m for m in matrices if _psd_certified(_coordinates(m), slack)]
         assert all(np.linalg.eigvalsh(m)[0] >= slack for m in certified)
         # Both sides of the certificate are reached near the slack.
         assert 0 < len(certified) < len(matrices)
-        assert _psd_certified(np.array(certified), slack)
-        assert not _psd_certified(np.array(matrices), slack)
+        assert _psd_certified(_coordinates(np.array(certified)), slack)
+        assert not _psd_certified(_coordinates(np.array(matrices)), slack)
+
+    @pytest.mark.parametrize("slack", [PSD_SLACK, INTEGRATOR_PSD_SLACK])
+    @pytest.mark.parametrize("form", [x_form, general_form])
+    def test_both_callers_solve_to_at_least_the_slack_where_it_certifies(self, form, slack):
+        # validate_state certifies the coordinates of the Hermitian part of a
+        # matrix within HERMITICITY_TOL of Hermitian and solves that part; the
+        # integrator certifies a window's coordinates and solves the matrices
+        # rebuilt from them.
+        rng = np.random.default_rng(84)
+        hermitian = np.array(near_slack(form, slack, seed=83))
+        rho = hermitian + 1e-13 * (rng.standard_normal(hermitian.shape) + 1j * rng.standard_normal(hermitian.shape))
+        part = 0.5 * rho + 0.5 * rho.conj().swapaxes(-1, -2)
+        x = _coordinates(part)
+        certified = np.array([_psd_certified(row, slack) for row in x])
+        assert 0 < certified.sum() < len(certified)
+        assert np.linalg.eigvalsh(part[certified])[:, 0].min() >= slack
+        assert np.linalg.eigvalsh(_from_coordinates(x[certified]))[:, 0].min() >= slack
+        if slack == PSD_SLACK:
+            validate_state(rho[certified])
 
     @pytest.mark.parametrize("form", [x_form, general_form])
     def test_validate_state_gives_the_eigen_solve_verdict(self, form):
@@ -143,17 +162,17 @@ class TestPositivityCertificate:
         m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
         m[1, 2] = m[2, 1] = 0.25 + 1e-6
         for slack in (PSD_SLACK, INTEGRATOR_PSD_SLACK):
-            assert not _psd_certified(m, slack)
+            assert not _psd_certified(_coordinates(m), slack)
         with pytest.raises(NotPositive, match="^smallest eigenvalue -1.000e-06 below slack -1e-10$"):
             validate_state(m)
 
     def test_row_sums_that_overflow_fall_back_to_the_eigen_solve(self):
-        # Each entry and the symmetrization stay finite; row 0's sum does not.
+        # Each entry and the Hermitian part stay finite; their squares and row 0's sum do not.
         m = np.diag([0.25] * 4).astype(complex)
         m[0, 1:] = m[1:, 0] = 7e307
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not _psd_certified(m, PSD_SLACK)
+            assert not _psd_certified(_coordinates(m), PSD_SLACK)
             with pytest.raises(NotPositive, match=r"^smallest eigenvalue -1\.212e\+308 below slack -1e-10$"):
                 validate_state(m)
 
@@ -170,12 +189,12 @@ class TestPositivityCertificate:
 
     def test_one_bad_matrix_in_a_later_slice_is_found(self):
         stack = np.repeat((np.eye(4) / 4.0)[None], 2 * _CERTIFY_SLICE + 3, axis=0).astype(complex)
-        assert _psd_certified(stack, PSD_SLACK)
+        assert _psd_certified(_coordinates(stack), PSD_SLACK)
         stack[_CERTIFY_SLICE + 7, 0, 0] = np.nan
-        assert not _psd_certified(stack, PSD_SLACK)
+        assert not _psd_certified(_coordinates(stack), PSD_SLACK)
         stack[_CERTIFY_SLICE + 7, 0, 0] = 0.25
         stack[_CERTIFY_SLICE + 7, 0, 3] = stack[_CERTIFY_SLICE + 7, 3, 0] = 0.25 + 1e-6
-        assert not _psd_certified(stack, INTEGRATOR_PSD_SLACK)
+        assert not _psd_certified(_coordinates(stack), INTEGRATOR_PSD_SLACK)
         with pytest.raises(NotPositive, match=f"^state {_CERTIFY_SLICE + 7}: smallest eigenvalue"):
             validate_state(stack)
 
