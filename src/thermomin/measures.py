@@ -23,7 +23,7 @@ from .qstate import SIGMA_Y, BlochRep, _bloch, _out, _raise_first, hermitian_eig
 
 # Below this Bloch-vector norm |x| (the eigenvalue gap) subsystem a's marginal
 # counts as degenerate and the measurement direction becomes a free variable:
-# the x = 0 branch of the closed formulas and the grid search of ``oracle``.
+# the x = 0 branch of the closed formulas and the eigenvector route of ``oracle``.
 MARGINAL_EPS = 1e-9
 
 X_STRUCTURE_TOL = 1e-12

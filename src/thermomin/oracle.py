@@ -10,15 +10,12 @@ The values are maximized over measurement directions by definition.
 
 Each direction's disturbance D = rho - Omega(rho) is formed explicitly
 as a 4x4 matrix by the same product, with the state terms scaled by the
-coefficients of the identity minus the map. Its Hilbert-Schmidt norm is
-the sum of its squared entries. Its trace norm comes from the 2x2 block
-that D holds between the eigenvectors of m.sigma, with weights in closed
-form in m, read from terms put once into 2x2 block order (see
-``_trace_weights``, ``_trace_norms`` and ``_block_order``). So the oracle
-shares no solver with ``measures``: explicit post-measurement states,
-entrywise norms, its own 3x3 Jacobi sweeps and a direct maximization here,
-closed formulas on the Bloch data with LAPACK singular values and
-eigenvalues there.
+coefficients of the identity minus the map, and normed by ``qstate``'s
+``hs_norm_sq`` and ``trace_norm``. The directions of a degenerate
+marginal come from the oracle's own 3x3 Jacobi sweeps, not from a LAPACK
+eigensolve. So the two routes are independent in their algorithms: an
+explicit Kraus map maximized over directions here, closed formulas on the
+Bloch data in ``measures``.
 
 Measurements that preserve the marginal of subsystem a: when it is
 non-degenerate only the one along its Bloch vector x qualifies and the
@@ -49,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MARGINAL_EPS, WeakStrength, _out
-from .qstate import ID2, PAULIS, validate_state
+from .qstate import ID2, PAULIS, hs_norm_sq, trace_norm, validate_state
 
 # A call takes its degenerate states _CHUNK at a time, each slice with its
 # own Kraus terms (about 10 KB a state), so that its memory does not grow
@@ -138,14 +135,6 @@ def _kraus_terms(rho, c_rho: float, c_s: float) -> np.ndarray:
     return np.concatenate([c_rho * rho.reshape(lead + (1, 16)), c_s * sandwiches], axis=-2).view(float)
 
 
-def _block_order(terms) -> np.ndarray:
-    """The (..., 10, 32) terms with each term's 16 entries regrouped from
-    (a b, a' b') to (a a', b b'): rows aa' of the 2x2 blocks over b, b'. A copy."""
-    lead = terms.shape[:-1]
-    # Axes a, b, a', b' and the real/imaginary pair; b swaps with a'.
-    return terms.reshape(lead + (2, 2, 2, 2, 2)).swapaxes(-4, -3).reshape(lead + (32,))
-
-
 def _kraus_columns(ms) -> np.ndarray:
     """The (k, 10) rows [1, m_k m_l] of the unit directions ms (shape (k, 3)): the Kraus map's direction half."""
     cols = np.empty((len(ms), 10))
@@ -174,65 +163,14 @@ def _post_states(rho, ms, t1, t2) -> np.ndarray:
     return product.view(complex).reshape(product.shape[:-1] + (4, 4))
 
 
-def _trace_weights(ms) -> np.ndarray:
-    """The (k, 1, 4) weights that ``_trace_norms`` applies to the 2x2 blocks of
-    disturbances measured along the unit directions ms (k, 3).
-
-    D = rho - Omega(rho) = 2 b^2 (rho - S rho S) with S = (m.sigma) x I and
-    S^2 = I, so S D S = -D. In the eigenbasis u+, u- of m.sigma, D is then
-    [[0, B], [B^+, 0]] with the 2x2 block B = (<u+| x I) D (|u-> x I).
-    The eigenvectors are those of n.sigma for n = s m, with s = -1 if
-    m_z has its sign bit set (-0.0 included) and +1 otherwise, so that m and
-    -m give the same n to the bit: u+ = (c, w) and u- = (-conj w, c) with
-    c = 1 + n_z >= 1 and w = n_x + i n_y, each of squared length 2c, so no
-    pole divides by zero. For n = -m the pair comes out swapped, which turns
-    B into B^+ and leaves the norm unchanged. B_bb' sums conj(u+_a) u-_a'
-    D_(ab),(a'b') / 2c over a, a', with weights for aa' = 00, 01, 10, 11 of
-    (-conj w c, c^2, -conj w^2, conj w c) / 2c = (-conj w, c, -conj w^2 / c, conj w) / 2.
-    """
-    s = np.where(np.signbit(ms[:, 2]), -1.0, 1.0)
-    c = 1.0 + s * ms[:, 2]
-    wbar = s * (ms[:, 0] - 1j * ms[:, 1])
-    return 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(len(ms), 1, 4)
-
-
-def _trace_norms(blocks, weights) -> np.ndarray:
-    """|D|_1 of each disturbance D along k directions with the (k, 1, 4)
-    ``_trace_weights``, without an eigensolve.
-
-    blocks holds D in 2x2 block order, (k, 4, 4 S) for S states measured
-    along the same k directions: row aa' of direction j holds D_(ab),(a'b')
-    of each state in turn, over bb'. The result has the shape (k, S). Each
-    direction's weights give the block B of all S states in one
-    (1, 4) @ (4, 4 S) product; the eigenvalues of D are +-s1, +-s2, the
-    singular values of B, so |D|_1 = 2 (s1 + s2) = 2 sqrt(|B|_F^2 + 2 |det B|).
-    """
-    b = (weights @ blocks).reshape(len(weights), -1, 4)
-    det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
-    fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
-    return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
-
-
-def _norms(product, norm: str, weights=None) -> np.ndarray:
-    """Disturbance norms of S states along k directions, as (k, S), from the
-    real (k, 32 S) product of the directions' columns with the states' terms:
-    |D|_2^2, the sum of squares of each state's 32 floats in natural order,
-    or |D|_1 from the (k, 4, 4 S) blocks of block-ordered terms and the
-    directions' (k, 1, 4) ``_trace_weights``."""
-    if norm == "hs":
-        floats = product.reshape(len(product), -1, 32)
-        return np.einsum("...j,...j->...", floats, floats)
-    return _trace_norms(product.view(complex).reshape(len(product), 4, -1), weights)
-
-
 def _own_direction_values(terms, ms, norm: str) -> np.ndarray:
     """Disturbance norms of the S states with (S, 10, 32) terms, each along its
     own k directions ms (S, k, 3): one batched (S, k, 10) @ (S, 10, 32) product,
-    with the columns and weights formed for these directions."""
-    flat = ms.reshape(-1, 3)
-    cols = _kraus_columns(flat).reshape(ms.shape[:-1] + (10,))
-    weights = _trace_weights(flat) if norm == "trace" else None
-    return _norms((cols @ terms).reshape(-1, 32), norm, weights).reshape(ms.shape[:-1])
+    viewed as the (S, k) explicit 4x4 disturbances and normed by ``qstate``."""
+    cols = _kraus_columns(ms.reshape(-1, 3)).reshape(ms.shape[:-1] + (10,))
+    product = cols @ terms
+    d = product.view(complex).reshape(product.shape[:-1] + (4, 4))
+    return hs_norm_sq(d) if norm == "hs" else trace_norm(d)
 
 
 def _quadratic_forms(scaled) -> np.ndarray:
@@ -300,16 +238,12 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
     rho = validate_state(rho)
     t1, t2 = (0.0, 1.0) if w is None else (w.t1, w.t2)
     c_rho, c_s = 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2
-
-    def terms_of(states):
-        terms = _kraus_terms(states, c_rho, c_s)
-        return _block_order(terms) if norm == "trace" else terms
     flat = rho.reshape(-1, 4, 4)
     ms, degenerate = _marginal_direction(flat)
     out = np.empty(len(flat))
     direct = ~degenerate
     if direct.any():
-        out[direct] = _own_direction_values(terms_of(flat[direct]), ms[direct, None], norm)[:, 0]
+        out[direct] = _own_direction_values(_kraus_terms(flat[direct], c_rho, c_s), ms[direct, None], norm)[:, 0]
     # A degenerate state takes its largest Kraus-route value at the three
     # eigenvectors of its quadratic form: the hs optimum is one of them and
     # the trace optimum's circle holds two (see README).
@@ -317,7 +251,7 @@ def _brute_force(rho, norm: str, w: WeakStrength | None = None):
     for i in range(0, len(free), _CHUNK):
         states = flat[free[i : i + _CHUNK]]
         axes = _jacobi_eigenvectors(_quadratic_forms((c_rho - c_s) * states)).swapaxes(-1, -2)
-        out[free[i : i + _CHUNK]] = _own_direction_values(terms_of(states), axes, norm).max(axis=1)
+        out[free[i : i + _CHUNK]] = _own_direction_values(_kraus_terms(states, c_rho, c_s), axes, norm).max(axis=1)
     return _out(out.reshape(rho.shape[:-2]))
 
 

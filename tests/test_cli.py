@@ -440,10 +440,10 @@ class TestValidateCommand:
         assert main(["validate", "--samples", "1"]) == 1
         assert capsys.readouterr().out.endswith("exit status: 1\n")
 
-    def test_single_sample_has_no_grid_state(self):
+    def test_single_sample_has_no_degenerate_state(self):
         report, status = run_validation(sample_count=1, seed=1)
-        assert "random states (1, 0 via grid search)" in report
-        assert "grid dev = 0.000000e+00" in report
+        assert "random states (1, 0 degenerate)" in report
+        assert "degenerate dev = 0.000000e+00" in report
         assert status == 0
 
     def test_rejects_bad_sample_count(self):

@@ -14,22 +14,17 @@ from thermomin import (
     brute_force_weak_min,
     direction_from_vector,
     hs_min,
+    hs_norm_sq,
     partial_trace,
     projective_post_state,
     trace_min,
+    trace_norm,
     weak_post_state,
 )
 from thermomin import oracle
+from thermomin.cli import _trajectory_direct_samples
 from thermomin.measures import MARGINAL_EPS
-from thermomin.oracle import (
-    _block_order,
-    _kraus_columns,
-    _kraus_terms,
-    _marginal_direction,
-    _post_states,
-    _trace_norms,
-    _trace_weights,
-)
+from thermomin.oracle import _kraus_columns, _kraus_terms, _marginal_direction, _post_states
 
 from _helpers import ID2, SX, SY, SZ, bell_diagonal_state, bell_phi_plus, ginibre_state, random_qubit_unitary
 
@@ -255,6 +250,40 @@ class TestKrausExpansion:
                 assert np.max(np.abs(row - (plus @ rho @ plus + minus @ rho @ minus))) <= 1e-14
 
 
+class TestOracleMatchesPostStateMaps:
+    """The oracle's values are the norms of rho minus the public post-state
+    maps along atom a's Bloch vector x, the one marginal-preserving direction
+    of a direct-case state. Measured at most 5.6e-16 apart."""
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(86)
+        states = np.concatenate([[ginibre_state(rng) for _ in range(200)], _trajectory_direct_samples()])
+        assert not _marginal_direction(states)[1].any()
+        return states
+
+    @staticmethod
+    def check(states, values, post):
+        """values (hs, trace) of the stack against the norms of rho - post(rho, d)."""
+        for rho, hs, tr in zip(states, *values):
+            marg = partial_trace(rho, "a")
+            x = [np.trace(marg @ p).real for p in (SX, SY, SZ)]
+            delta = rho - post(rho, direction_from_vector(x))
+            assert abs(hs - hs_norm_sq(delta)) <= 1e-14
+            assert abs(tr - trace_norm(delta)) <= 1e-14
+
+    def test_projective(self):
+        states = self.states()
+        self.check(states, (brute_force_hs_min(states), brute_force_trace_min(states)), projective_post_state)
+
+    @pytest.mark.parametrize("x", [0.0, 0.7, 3.0])
+    def test_weak(self, x):
+        w = WeakStrength(x)
+        states = self.states()
+        values = brute_force_weak_min(states, w, "hs"), brute_force_weak_min(states, w, "trace")
+        self.check(states, values, lambda rho, d: weak_post_state(rho, d, w))
+
+
 def single_post_states(rho, ms, t1, t2):
     """One state's post-measurement states along the unit directions ms (k, 3),
     as one 2-d (k, 10) @ (10, 32) product with Python-float coefficients."""
@@ -334,8 +363,9 @@ def degenerate_marginal_state(rng):
 
 
 class TestTraceNormBlock:
-    """The oracle's trace norm, 2 sqrt(|B|_F^2 + 2 |det B|) of the 2x2 block B
-    that the disturbance D holds between the eigenvectors of m.sigma."""
+    """The oracle's trace values against the literal sum of |eigenvalues|,
+    and the 2x2-block trace norm of the grid reference, 2 sqrt(|B|_F^2 + 2 |det B|)
+    of the block B that the disturbance D holds between the eigenvectors of m.sigma."""
 
     STRENGTHS = [None, 0.0, 0.7, 3.0, 30.0]
 
@@ -359,17 +389,14 @@ class TestTraceNormBlock:
         return [ginibre_state(rng) if k % 2 == 0 else degenerate_marginal_state(rng) for k in range(12)]
 
     @staticmethod
-    def disturbances(rho, t1, t2, ms, order=lambda terms: terms):
-        """(k, 16) rows rho - Omega(rho) from the terms in the given order; the
-        natural order by default, the oracle's trace-norm order with
-        ``_block_order``."""
-        terms = order(_kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2))
-        return (_kraus_columns(ms) @ terms).view(complex)
+    def terms(rho, t1, t2):
+        """The (10, 32) Kraus terms of rho - Omega(rho), in natural order."""
+        return _kraus_terms(rho, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
 
     @staticmethod
-    def blocks(rho, t1, t2, ms):
-        """The (k, 4, 4) blocks that ``_trace_norms`` takes, rows aa' over bb'."""
-        return TestTraceNormBlock.disturbances(rho, t1, t2, ms, _block_order).reshape(-1, 4, 4)
+    def disturbances(rho, t1, t2, ms):
+        """(k, 16) rows rho - Omega(rho), one per direction."""
+        return (_kraus_columns(ms) @ TestTraceNormBlock.terms(rho, t1, t2)).view(complex)
 
     @pytest.mark.parametrize("x", STRENGTHS, ids=lambda x: "projective" if x is None else f"x={x}")
     def test_disturbance_anticommutes_with_the_measured_operator(self, x):
@@ -385,24 +412,26 @@ class TestTraceNormBlock:
         t1, t2 = (0.0, 1.0) if x is None else (WeakStrength(x).t1, WeakStrength(x).t2)
         ms = self.directions()
         for rho in self.states():
-            literal = np.abs(np.linalg.eigvalsh(self.disturbances(rho, t1, t2, ms).reshape(-1, 4, 4))).sum(axis=1)
-            norms = _trace_norms(self.blocks(rho, t1, t2, ms), _trace_weights(ms))
-            assert np.max(np.abs(norms[:, 0] - literal)) <= 1e-14
+            rows = self.disturbances(rho, t1, t2, ms)
+            literal = np.abs(np.linalg.eigvalsh(rows.reshape(-1, 4, 4))).sum(axis=1)
+            own = oracle._own_direction_values(self.terms(rho, t1, t2)[None], ms[None], "trace")[0]
+            assert np.max(np.abs(own - literal)) <= 1e-14
+            assert np.max(np.abs(natural_trace_norms(rows, trace_weights(ms))[:, 0] - literal)) <= 1e-14
 
     def test_degenerate_case_takes_no_matrix_solver(self, monkeypatch):
         # The eigenvectors of the quadratic form come from the oracle's own
-        # Jacobi sweeps, not from LAPACK, which the closed forms use.
+        # Jacobi sweeps, not from a LAPACK eigensolve, which the closed forms
+        # use. The trace norm takes singular values from ``qstate``.
         def refuse(*args, **kwargs):
             raise AssertionError("matrix solver on the oracle's path")
 
         rho = degenerate_marginal_state(np.random.default_rng(56))
         assert _marginal_direction(rho)[1].all()
         # Validation solves for the smallest eigenvalue by design; it is not
-        # on the trace-norm path, so it is bypassed here for the valid state.
+        # on the directions' path, so it is bypassed here for the valid state.
         monkeypatch.setattr(oracle, "validate_state", lambda r: r)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "svd", refuse)
         assert brute_force_hs_min(rho) > 0.0
         assert brute_force_trace_min(rho) > 0.0
         assert brute_force_weak_min(rho, WeakStrength(0.7), "trace") > 0.0
@@ -462,28 +491,40 @@ def oracle_peak(f, states):
 
 
 def test_oracle_memory_does_not_grow_with_the_stack():
-    # The Kraus terms, about 10 KB a state in their natural and block
-    # orders, are built per slice of _CHUNK = 500 degenerate states: 4.0 MB
-    # measured at 2,000 states, against 15.6 MB with the whole stack in one
-    # slice. The trace norm holds both orders.
+    # The Kraus terms and disturbances are built per slice of _CHUNK = 500
+    # degenerate states: 4.0 MB measured at 2,000 states, against 15.6 MB
+    # with the whole stack in one slice.
     rng = np.random.default_rng(68)
     states = np.array([degenerate_marginal_state(rng) for _ in range(2000)])
     assert _marginal_direction(states)[1].all()
     assert oracle_peak(brute_force_trace_min, states) < 5.0e6
 
 
-def test_block_order_permutes_each_terms_entries():
-    terms = _kraus_terms(mixed_stack(np.random.default_rng(62), 6), 0.3, -0.7)
-    # Entry (a b, a' b') sits at 8a + 4b + 2a' + b' and moves to (a a', b b').
-    source = [8 * a + 4 * b + 2 * a_ + b_ for a in (0, 1) for a_ in (0, 1) for b in (0, 1) for b_ in (0, 1)]
-    expected = np.ascontiguousarray(terms.view(complex)[..., source])
-    assert _block_order(terms).tobytes() == expected.tobytes()
+def trace_weights(ms) -> np.ndarray:
+    """The (k, 1, 4) weights that ``natural_trace_norms`` applies to the 2x2
+    blocks of disturbances measured along the unit directions ms (k, 3).
+
+    D = rho - Omega(rho) anticommutes with S = (m.sigma) x I, so in the
+    eigenbasis u+, u- of m.sigma it is [[0, B], [B^+, 0]] with the 2x2 block
+    B = (<u+| x I) D (|u-> x I). With n = s m, s = -1 if m_z has its sign bit
+    set and +1 otherwise, u+ = (c, w) and u- = (-conj w, c), c = 1 + n_z >= 1
+    and w = n_x + i n_y, each of squared length 2c. B_bb' sums
+    conj(u+_a) u-_a' D_(ab),(a'b') / 2c over a, a', with weights for
+    aa' = 00, 01, 10, 11 of (-conj w, c, -conj w^2 / c, conj w) / 2.
+    """
+    s = np.where(np.signbit(ms[:, 2]), -1.0, 1.0)
+    c = 1.0 + s * ms[:, 2]
+    wbar = s * (ms[:, 0] - 1j * ms[:, 1])
+    return 0.5 * np.stack([-wbar, c, -wbar * wbar / c, wbar], axis=1).reshape(len(ms), 1, 4)
 
 
 def natural_trace_norms(rows, weights):
-    """Reference for ``_trace_norms`` on terms left in natural order: the rows
-    (k, [ab], state, [a'b']) are the disturbances' matrix rows, regrouped into
-    2x2 blocks by a 6-axis transpose and weighted as in ``_trace_norms``."""
+    """|D|_1, as (k, S), of S states' disturbances along k directions without
+    an eigensolve, for the grid reference: the complex rows (k, [ab], state,
+    [a'b']) are the disturbances' matrix rows, regrouped into 2x2 blocks by a
+    6-axis transpose and weighted by the directions' ``trace_weights``. The
+    eigenvalues of D are +-s1, +-s2, the singular values of B, so
+    |D|_1 = 2 (s1 + s2) = 2 sqrt(|B|_F^2 + 2 |det B|)."""
     k = len(weights)
     deltas = rows.reshape(k, 4, -1, 4).transpose(0, 2, 1, 3)
     blocks = deltas.reshape(k, -1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(k, 4, -1)
@@ -491,20 +532,6 @@ def natural_trace_norms(rows, weights):
     det = b[..., 0] * b[..., 3] - b[..., 1] * b[..., 2]
     fro = np.einsum("...j,...j->...", b.view(float), b.view(float))
     return 2.0 * np.sqrt(fro + 2.0 * np.abs(det))
-
-
-@pytest.mark.parametrize("name", ["trace", "weak-trace"])
-@pytest.mark.parametrize("seed", [63, 64, 65])
-def test_trace_values_equal_the_natural_layout_regroup(monkeypatch, name, seed):
-    # Stacks of 12 and 7 states, 6 and 4 of them degenerate, each of which
-    # takes three directions in one product.
-    f = ORACLES[name]
-    stacks = [mixed_stack(np.random.default_rng(seed), count) for count in (12, 7)]
-    block = [f(states) for states in stacks]
-    monkeypatch.setattr(oracle, "_block_order", lambda terms: terms)
-    monkeypatch.setattr(oracle, "_trace_norms", natural_trace_norms)
-    for states, values in zip(stacks, block):
-        assert values.tobytes() == f(states).tobytes()
 
 
 # The theta/phi grid search that took the degenerate marginals before the
@@ -528,26 +555,34 @@ def direction_batch(thetas, phis):
     return np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
 
 
+def grid_norms(product, ms, norm):
+    """Disturbance norms, as (k, S), of S states along the k unit directions
+    ms (k, 3), from the real (k, 32 S) product of the directions' Kraus columns
+    with the states' natural-order terms laid out as (row [ab], state, [a'b'])."""
+    if norm == "hs":
+        floats = product.reshape(len(ms), 4, -1, 8)
+        return np.einsum("kasj,kasj->ks", floats, floats)
+    return natural_trace_norms(product.view(complex), trace_weights(ms))
+
+
 def per_pass_grid_maximize(terms, norm):
     """Largest Kraus-route disturbance norm of each of the states with
-    (S, 10, 32) terms (block-ordered for the trace norm) over the grid and its
-    refinement, each coarse pass building the Kraus columns and trace-norm
-    weights of its slice of the directions."""
+    (S, 10, 32) natural-order terms over the grid and its refinement, each
+    pass building the Kraus columns and trace-norm weights of its directions."""
     count = len(terms)
     g = GRID_RESOLUTION
     thetas = np.linspace(0.0, math.pi, g)[: g // 2]
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False)
     tt, pp = (a.reshape(-1) for a in np.broadcast_arrays(thetas[:, None], phis[None, :]))
     ms = direction_batch(thetas, phis)
-    rows = 4 if norm == "trace" else 1
-    wide = terms.reshape(count, 10, rows, -1).transpose(1, 2, 0, 3).reshape(10, -1)
+    wide = terms.reshape(count, 10, 4, 8).transpose(1, 2, 0, 3).reshape(10, -1)
     best = np.full(count, -np.inf)
     cell = np.zeros(count, dtype=int)
     passes = -(-len(ms) // max(2, CHUNK // count))
     bounds = [len(ms) * j // passes for j in range(passes + 1)]
     for i, end in zip(bounds, bounds[1:]):
         part = ms[i:end]
-        values = oracle._norms(_kraus_columns(part) @ wide, norm, _trace_weights(part))
+        values = grid_norms(_kraus_columns(part) @ wide, part, norm)
         top = np.argmax(values, axis=0)
         top_values = values[top, np.arange(count)]
         better = top_values > best
@@ -559,7 +594,9 @@ def per_pass_grid_maximize(terms, norm):
     for i in range(0, count, per_pass):
         here = cell[i : i + per_pass, None]
         ms_fine = direction_batch(np.clip(tt[here] + dt, 0.0, math.pi), (pp[here] + dp) % (2.0 * math.pi))
-        fine = oracle._own_direction_values(terms[i : i + per_pass], ms_fine, norm)
+        flat = ms_fine.reshape(-1, 3)
+        cols = _kraus_columns(flat).reshape(ms_fine.shape[:-1] + (10,))
+        fine = grid_norms((cols @ terms[i : i + per_pass]).reshape(-1, 32), flat, norm).reshape(ms_fine.shape[:-1])
         np.maximum(best[i : i + per_pass], fine.max(axis=1), out=best[i : i + per_pass])
     return best
 
@@ -569,8 +606,7 @@ def grid_search(states, name):
     w = WeakStrength(0.7)
     t1, t2 = (w.t1, w.t2) if name.startswith("weak") else (0.0, 1.0)
     norm = name.split("-")[-1]
-    terms = _kraus_terms(states, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2)
-    return per_pass_grid_maximize(_block_order(terms) if norm == "trace" else terms, norm)
+    return per_pass_grid_maximize(_kraus_terms(states, 1.0 - 0.5 * (t1 + t2) ** 2, -0.5 * (t1 - t2) ** 2), norm)
 
 
 def product_state(rng):
@@ -646,8 +682,8 @@ def edge_stack(family):
 
 class TestDegenerateEdges:
     """The eigenvector route against the closed forms where the optimum is
-    hardest to find. Measured at most 6.7e-16 off on these families, at
-    every strength, and 8.9e-16 on the random states; the tolerance is
+    hardest to find. Measured at most 4.4e-16 off on these families, at
+    every strength, and 7.8e-16 on the random states; the tolerance is
     1e-12, as in ``validate``."""
 
     @pytest.mark.parametrize("x", [None, 0.0, 0.7, 3.0], ids=lambda x: "projective" if x is None else f"x={x}")
@@ -757,8 +793,8 @@ class TestJacobi:
 class TestAntipodes:
     """m and -m are the same measurement. The Jacobi eigenvectors come with
     either sign, so the oracle's value at each must not depend on it: the
-    Kraus columns hold products m_k m_l, and the trace weights flip s with m,
-    so both norms are equal bit for bit."""
+    Kraus columns hold products m_k m_l, so the disturbance D is bitwise equal
+    for m and -m, and so are both of its norms."""
 
     @pytest.mark.parametrize("x", [None, 0.7, 3.0], ids=lambda x: "projective" if x is None else f"x={x}")
     def test_values_at_antipodes_are_equal(self, x):
@@ -773,9 +809,9 @@ class TestAntipodes:
         axes = oracle._jacobi_eigenvectors(oracle._quadratic_forms((c_rho - c_s) * states)).swapaxes(-1, -2)
         terms = _kraus_terms(states, c_rho, c_s)
         for ms in shared + [axes]:
-            for norm, t in (("hs", terms), ("trace", _block_order(terms))):
-                here = oracle._own_direction_values(t, ms, norm)
-                there = oracle._own_direction_values(t, -ms, norm)
+            for norm in ("hs", "trace"):
+                here = oracle._own_direction_values(terms, ms, norm)
+                there = oracle._own_direction_values(terms, -ms, norm)
                 assert here.tobytes() == there.tobytes()
 
 
