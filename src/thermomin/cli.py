@@ -170,7 +170,7 @@ def run_strength_sweep(cfg: SweepConfig, integrator: str = "analytic") -> int:
     p = dynamics.ModelParams(n=cfg.n_values[0], r=cfg.r_values[0])
     times, states = _states_on_grid(p, cfg.t_max, cfg.t_steps, integrator)
     b = qstate._bloch(qstate.validate_state(states))
-    n2s, n1s = measures._hs_min(b), measures._trace_min(b)
+    n2s, n1s = measures._nonlocality(b)
     xs = sorted(cfg.x_values)
     factors = [measures.weak_factor(measures.WeakStrength(x)) for x in xs]
     weak = (f * n2s for f in factors), (f * n1s for f in factors)

@@ -6,6 +6,10 @@ local projective measurements that leave the marginal of subsystem a
 unchanged), and their weak-measurement counterparts obtained by scaling
 with the strength factor (1 - t1*t2).
 
+Both nonlocality values come from the singular values k1 >= k2 of the
+correlation matrix projected off subsystem a's Bloch direction, N2 =
+(k1^2 + k2^2)/4 and N1 = k1, with no cancellation to cost digits.
+
 Every measure takes one 4x4 state, for which it returns a float, or a
 (..., 4, 4) stack, for which it returns an array of the leading shape.
 A single state is a stack of one: both go through the same vectorized
@@ -19,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import SIGMA_Y, BlochRep, _bloch, _out, _raise_first, hermitian_eigensystem, matrix_sqrt_psd, validate_state
+from .qstate import SIGMA_Y, BlochRep, _bloch, _out, _raise_first, matrix_sqrt_psd, validate_state
 
 # Below this Bloch-vector norm |x| (the eigenvalue gap) subsystem a's marginal
 # counts as degenerate and the measurement direction becomes a free variable:
-# the x = 0 branch of the closed formulas and the eigenvector route of ``oracle``.
+# the unprojected C in ``_nonlocality`` and the eigenvector route of ``oracle``.
 MARGINAL_EPS = 1e-9
 
 X_STRUCTURE_TOL = 1e-12
@@ -138,31 +142,6 @@ def concurrence_xstate(rho):
     return _out(2.0 * np.maximum(0.0, np.abs(rho[..., 1, 2]) - geo))
 
 
-def hs_min(rho):
-    """Hilbert-Schmidt measurement-induced nonlocality.
-
-    Closed form on the Bloch data with T = C/2: Tr(T T^t) minus either the
-    projection onto the marginal Bloch direction (non-degenerate marginal)
-    or the smallest eigenvalue of T T^t (degenerate marginal).
-    """
-    return _out(_hs_min(_bloch(validate_state(rho))))
-
-
-def _hs_min(b: BlochRep) -> np.ndarray:
-    T = b.C / 2.0
-    M = T @ T.swapaxes(-1, -2)
-    trace = (M[..., 0, 0] + M[..., 1, 1]) + M[..., 2, 2]
-    norm_x = np.sqrt(_sum3(b.x * b.x))
-    degenerate = norm_x < MARGINAL_EPS
-    xh = b.x / np.where(degenerate, 1.0, norm_x)[..., None]
-    proj = _sum3(xh * _sum3(M * xh[..., None, :]))
-    if degenerate.any():
-        evals, _ = hermitian_eigensystem(M[degenerate].astype(complex))
-        proj = np.array(proj)  # writable, also for a single state
-        proj[degenerate] = evals[..., -1]
-    return np.maximum(trace - proj, 0.0)
-
-
 def canonicalize_correlations(b) -> TraceMinCanonicalForm:
     """Rotate Bloch data into the frame where the correlation matrix is diagonal.
 
@@ -192,44 +171,37 @@ def canonicalize_correlations(b) -> TraceMinCanonicalForm:
     )
 
 
-def trace_min(rho):
-    """Trace-norm measurement-induced nonlocality.
+def hs_min(rho):
+    """Hilbert-Schmidt measurement-induced nonlocality N2 = (k1^2 + k2^2)/4.
 
-    Canonicalizes the correlation matrix first, then evaluates the closed
-    formula: max singular value for a degenerate marginal, otherwise
-    (sqrt(chi+) + sqrt(chi-)) / (2 |x|). When the rotated Bloch vector
-    lies on a canonical axis or plane, chi- vanishes or factors exactly
-    and the generic difference formula loses half its digits through the
-    square root, so those configurations use the algebraically identical
-    reduced forms instead. Over a stack each branch is a mask.
+    k1 >= k2 are the singular values of C projected off subsystem a's Bloch
+    direction, or of C itself for a degenerate marginal (``_nonlocality``).
     """
-    return _out(_trace_min(_bloch(validate_state(rho))))
+    return _out(_nonlocality(_bloch(validate_state(rho)))[0])
 
 
-# For the component k of the rotated Bloch vector that vanishes in the
-# plane case, the other two indices i < j.
-_PLANE_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
+def trace_min(rho):
+    """Trace-norm measurement-induced nonlocality N1 = k1, k1 as in ``hs_min``.
+
+    Equal to (sqrt(chi+) + sqrt(chi-)) / (2 |x|) of ``canonicalize_correlations``,
+    without that formula's cancellation near a canonical axis or plane.
+    """
+    return _out(_nonlocality(_bloch(validate_state(rho)))[1])
 
 
-def _trace_min(b: BlochRep) -> np.ndarray:
-    canon = canonicalize_correlations(b)
-    c = canon.c
-    u = canon.xr**2
-    usum = _sum3(u)
-    degenerate = np.sqrt(usum) < MARGINAL_EPS
-    usafe = np.where(degenerate, 1.0, usum)
-    big = (u > 1e-14 * usum[..., None]).sum(axis=-1)
-    # Axis: the largest of the two c's off the axis; c is sorted descending.
-    on_axis = np.where(np.argmax(u, axis=-1) == 0, c[..., 1], c[..., 0])
-    # Plane: u[k] is negligible and the formula reduces to the (i, j) terms.
-    k = np.argmin(u, axis=-1)[..., None]
-    ij = _PLANE_OTHERS[k[..., 0]]
-    cij = np.take_along_axis(c, ij, axis=-1)
-    uij = np.take_along_axis(u, ij, axis=-1)
-    s = cij[..., 0] ** 2 * uij[..., 1] + cij[..., 1] ** 2 * uij[..., 0]
-    in_plane = np.maximum(np.take_along_axis(c, k, axis=-1)[..., 0], np.sqrt(s / usafe))
-    generic = (np.sqrt(canon.chi_plus) + np.sqrt(canon.chi_minus)) / (2.0 * np.sqrt(usafe))
-    return np.select([degenerate, big == 1, big == 2], [c[..., 0], on_axis, in_plane], generic)
+def _nonlocality(b: BlochRep) -> tuple[np.ndarray, np.ndarray]:
+    """(N2, N1) from one singular value decomposition per state.
+
+    Measuring a along x^ = x/|x| leaves D = 1/4 sum_ij K_ij s_i x s_j with
+    K = (I - x^ x^t) C of rank at most 2, so |D|_2^2 = (k1^2 + k2^2)/4 and
+    |D|_1 = k1. A degenerate marginal takes x^ = 0, K = C: then the same
+    expressions are the maxima over all directions.
+    """
+    norm_x = np.sqrt(_sum3(b.x * b.x))
+    xh = b.x / np.where(norm_x < MARGINAL_EPS, np.inf, norm_x)[..., None]
+    xc = _sum3(xh[..., None, :] * b.C.swapaxes(-1, -2))
+    k = np.linalg.svd(b.C - xh[..., :, None] * xc[..., None, :], compute_uv=False)
+    return (k[..., 0] ** 2 + k[..., 1] ** 2) / 4.0, k[..., 0]
 
 
 def weak_factor(w: WeakStrength) -> float:
@@ -255,8 +227,7 @@ def evaluate_measures(rho, w: WeakStrength) -> MeasureReport:
     """
     rho = validate_state(rho)
     b = _bloch(rho)
-    n2 = _hs_min(b)
-    n1 = _trace_min(b)
+    n2, n1 = _nonlocality(b)
     f = weak_factor(w)
     return MeasureReport(
         C=_out(_concurrence(rho)), N2=_out(n2), N1=_out(n1), N2W=_out(f * n2), N1W=_out(f * n1)

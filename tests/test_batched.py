@@ -54,21 +54,24 @@ def mixed_stack(seed=5):
     return np.array(states)[order]
 
 
-def branches(stack):
-    """Which trace_min and hs_min branch each state takes, from its canonical form."""
+def configurations(stack):
+    """Where each state's a-side Bloch vector lies: degenerate (|x| below
+    MARGINAL_EPS), or else on an axis, in a plane or generic in the frame of
+    the correlation matrix's singular vectors, by the components whose
+    square exceeds 1e-14 of |x|^2; and whether its marginal is degenerate."""
     canon = canonicalize_correlations(bloch_decompose(stack))
     u = canon.xr**2
     usum = u.sum(axis=-1)
     big = (u > 1e-14 * usum[:, None]).sum(axis=-1)
-    trace_branch = np.where(np.sqrt(usum) < MARGINAL_EPS, "degenerate", np.array(["", "axis", "plane", "generic"])[big])
-    hs_branch = np.where(np.linalg.norm(bloch_decompose(stack).x, axis=-1) < MARGINAL_EPS, "degenerate", "projection")
-    return trace_branch, hs_branch
+    frame = np.where(np.sqrt(usum) < MARGINAL_EPS, "degenerate", np.array(["", "axis", "plane", "generic"])[big])
+    marginal = np.where(np.linalg.norm(bloch_decompose(stack).x, axis=-1) < MARGINAL_EPS, "degenerate", "projection")
+    return frame, marginal
 
 
-def test_mixed_stack_covers_every_branch():
-    trace_branch, hs_branch = branches(mixed_stack())
-    assert set(trace_branch) == {"degenerate", "axis", "plane", "generic"}
-    assert set(hs_branch) == {"degenerate", "projection"}
+def test_mixed_stack_covers_every_configuration():
+    frame, marginal = configurations(mixed_stack())
+    assert set(frame) == {"degenerate", "axis", "plane", "generic"}
+    assert set(marginal) == {"degenerate", "projection"}
 
 
 @pytest.mark.parametrize(

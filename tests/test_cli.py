@@ -121,6 +121,22 @@ class TestTimeSweep:
             run_time_sweep(cfg)
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "integrator, n_values, r_values, t_max, steps",
+        [
+            pytest.param("rk4", [0.6021], [0.4363], 50.0, 11, id="rk4-long"),
+            pytest.param("analytic", [0.0, 1.0], [0.3, 1.0], 30.0, 31, id="analytic-long"),
+        ],
+    )
+    def test_no_row_has_n2_zero_where_n1_is_positive(self, tmp_path, integrator, n_values, r_values, t_max, steps):
+        # Late in the decay N2 = 2 |rho23|^2 is far below Tr(T T^t); it must
+        # still read nonzero wherever N1 = 2 |rho23| does.
+        out = tmp_path / "long.csv"
+        cfg = SweepConfig(n_values=n_values, r_values=r_values, t_max=t_max, t_steps=steps, output_path=str(out))
+        run_time_sweep(cfg, integrator=integrator)
+        _, rows = read_csv(out)
+        assert [row for row in rows if row[4] == 0.0 and row[5] > 0.0] == []
+
     def test_rk4_integrator_matches_analytic(self, tmp_path):
         out_a = tmp_path / "analytic.csv"
         out_r = tmp_path / "rk4.csv"

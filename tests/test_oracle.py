@@ -899,9 +899,9 @@ class TestNearDegenerateMarginal:
 class TestBranchBand:
     """Where the degenerate-marginal branch is undefined.
 
-    hs_min, trace_min (after its rotation) and the oracle each compute |x|
-    with their own sums. On 15,552 seeded states with x in random
-    directions, those three lengths agree to 5.5e-17 and lie within
+    measures (one length for hs_min and trace_min alike) and the oracle each
+    compute |x| with their own sums. On 15,552 seeded states with x in random
+    directions, those two lengths agree to 5.5e-17 and lie within
     2.2e-16 of the length the state was built with, so a state built with
     |x| within BAND = 3e-16 of MARGINAL_EPS can take different branches in
     different routes: the band where the branch is undefined. Just outside
